@@ -7,7 +7,7 @@ rebuilding hypervectors once per input), and inside each call the
 encoder looped over *children* (one gather/multiply/reduce per row).
 The fused path — blocked kernels in
 :mod:`repro.hdc.encoders._blocked` plus the hoisted schedule in
-:meth:`repro.fuzz.batch.BatchedHDTest._encode_plans_delta` — runs the
+:meth:`repro.fuzz.fuzzer.HDTest._encode_plans_delta` — runs the
 same exact integer algebra in O(1) kernel calls per iteration.
 
 Two measurements, two claims:
@@ -161,7 +161,7 @@ class _PreFusionEngine(BatchedHDTest):
                 )
 
             if dedupe:
-                keys = [self._child_key(children[j]) for j in range(len(children))]
+                keys = self._child_keys(children)
                 cache = caches.get(state.cache_key, capacity)
                 accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
             else:

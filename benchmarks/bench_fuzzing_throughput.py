@@ -3,23 +3,25 @@
 The engines' claim is end-to-end inputs/sec on the paper's Table II
 campaign (four strategies over the same seeded digits pool,
 D = 10 000).  This bench times the *same* campaign under each executor
-and prints an inputs/sec table.  The baseline is the **scratch-encode
-serial loop** — the paper-literal implementation that re-encodes every
-child from its pixels (the state of the sequential engine before delta
-encoding landed); the acceptance bar asserts the batched *and* the
-modern (delta) serial engines at ≥ 3× that baseline, so regressions in
-the incremental encode path fail loudly whichever engine they hit.
+and prints an inputs/sec table.  Every arm runs the one lock-step
+Alg. 1 engine; the serial arms run it at batch size 1 with one
+threaded generator (what ``SerialExecutor`` does), so they differ from
+each other only in how children are encoded.  The baseline is the
+**scratch-encode serial** arm — delta encoding switched off, so every
+child is re-encoded from its pixels, the work the paper-literal
+implementation does; the acceptance bar asserts the batched *and* the
+delta-encoding serial arm at ≥ 3× that baseline, so regressions in the
+incremental encode path fail loudly whichever schedule they hit.
 
 The table also carries a **pre-fusion delta-serial** arm — the serial
-engine exactly as it stood before the fused encode kernels landed
-(per-child gather/multiply/reduce, ``np.where`` thresholding) — the
-rebaseline for this PR's encode fusion.  The asserted rebaseline bar
+schedule with the delta surface swapped for the per-child kernels that
+preceded the fused encode kernels (per-child gather/multiply/reduce,
+``np.where`` thresholding) — the rebaseline for the encode fusion.  The asserted rebaseline bar
 is on *encode throughput*: the batched engine's telemetry-measured
 ``encodes_per_second`` must stay ≥ 1.25× that arm's.  A campaign-level
 1.5× does not materialise on a single-core memory-bound host: once the
 encode phase is fused it stops dominating wall time (~50% here, not
-the ~90% the issue premise measured), the modern serial engine shares
-the same fused kernels, and the four-strategy mix includes ``gauss``,
+~90%), the delta-serial arm shares the same fused kernels, and the four-strategy mix includes ``gauss``,
 whose per-child loop was already bound on the same codebook gathers —
 the per-strategy ≥2× encode-phase bars live in
 ``bench_encode_kernels.py`` where the phase is isolated.
@@ -28,10 +30,10 @@ Where the speedup comes from (measured on one core):
 
 * incremental (delta) encoding from parent accumulators — huge for
   sparse mutators (``rand`` ~17×, ``row_col_rand`` ~12×), ~2.7× for
-  ``gauss``, which re-levels about half the pixels per child.  Since
-  PR 2 the sequential loop shares this path (parent accumulators ride
-  the ``SeedPool``), which is why delta-serial now sits at batched-level
-  throughput on one core;
+  ``gauss``, which re-levels about half the pixels per child.  The
+  serial schedule is the same engine at batch size 1, so it shares this
+  path, which is why delta-serial sits at batched-level throughput on
+  one core;
 * one fused predict per iteration across every active input (the
   batched engine's remaining edge, which grows with model/query cost);
 * the shared bounded dedupe cache (what keeps ``shift`` cheap).
@@ -89,12 +91,13 @@ TELEMETRY_TIMING_REPEATS = 3
 
 
 class _PreFusionSerialExecutor(SerialExecutor):
-    """The delta-serial engine as it stood before the fused kernels.
+    """The serial schedule with the pre-fusion encode kernels.
 
     Wraps the target's delta surface with the verbatim pre-fusion
     per-child kernel and ``np.where`` thresholding
     (:class:`bench_encode_kernels._PreFusionSurface`), keeping every
-    other phase modern — the rebaseline arm for the encode fusion.
+    other phase of the batch-size-1 lock-step engine — the rebaseline
+    arm for the encode fusion.
     """
 
     def run(self, model, strategy, inputs, *, domain=None, config=None,
@@ -118,12 +121,13 @@ class _PreFusionSerialExecutor(SerialExecutor):
 
 
 class _ScratchSerialExecutor(SerialExecutor):
-    """The pre-delta sequential engine: every child encoded from scratch.
+    """The serial schedule with delta encoding off: scratch encodes.
 
-    Disables the incremental path (exactly what `HDTest.fuzz_one` did
-    before parent accumulators rode the seed pool) so the bench keeps
-    an honest historical baseline to measure both modern engines
-    against.
+    Forces the batch-size-1 lock-step engine onto its scratch path, so
+    every child is encoded from its pixels — the encode work of the
+    sequential engine before parent accumulators rode the seed pool.
+    It keeps an encode-work baseline to measure both delta-encoding
+    schedules against.
     """
 
     def run(self, model, strategy, inputs, *, domain=None, config=None,

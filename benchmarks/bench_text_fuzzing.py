@@ -52,11 +52,11 @@ MIN_BATCHED_SPEEDUP = 3.0
 
 
 class _ScratchSerialExecutor(SerialExecutor):
-    """The pre-delta sequential engine: every child encoded from scratch.
+    """The serial schedule with delta encoding off: scratch encodes.
 
-    Disables the incremental path so the bench keeps an honest
-    paper-literal baseline (one full n-gram encode per child) to
-    measure both modern engines against.
+    Forces the batch-size-1 engine onto its scratch path so the bench
+    keeps an encode-work baseline of the paper-literal loop (one full
+    n-gram encode per child) to measure both delta schedules against.
     """
 
     def run(self, model, strategy, inputs, *, domain=None, config=None,

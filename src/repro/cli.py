@@ -48,6 +48,7 @@ from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
 from repro.hdc.item_memory import CODEBOOK_KINDS
 from repro.hdc.model import HDCClassifier
+from repro.utils.io import atomic_write
 
 #: CLI domain choices; ``voice`` is the record domain's spoken-feature face.
 DOMAIN_CHOICES = ("image", "text", "voice")
@@ -689,7 +690,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if args.out is None:
             print(markdown)
         else:
-            args.out.write_text(markdown)
+            with atomic_write(args.out) as fh:
+                fh.write(markdown)
             print(f"report written to {args.out}")
         return 0
 
@@ -708,7 +710,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.out is None:
         print(markdown)
     else:
-        args.out.write_text(markdown)
+        with atomic_write(args.out) as fh:
+            fh.write(markdown)
         print(f"report written to {args.out}")
     return 0
 

@@ -1,39 +1,42 @@
 """Pluggable campaign executors: how a fuzzing campaign is scheduled.
 
-The fuzzing *algorithm* (Alg. 1) is fixed; how its per-input runs are
-scheduled across the hardware is not.  A :class:`CampaignExecutor`
-turns ``(model, strategy, inputs)`` into a
+The fuzzing *algorithm* (Alg. 1) has one implementation, the lock-step
+loop :meth:`repro.fuzz.fuzzer.HDTest.fuzz_outcomes`; how its inputs are
+scheduled across the hardware is what varies.  A
+:class:`CampaignExecutor` turns ``(model, strategy, inputs)`` into a
 :class:`~repro.fuzz.results.CampaignResult` for any registered fuzzing
 domain — image, text, or record campaigns all flow through the same
-three schedules (the ``domain`` keyword is forwarded to the engines).
+schedules (the ``domain`` keyword is forwarded to the engine).
 ``model`` may equally be a
 :class:`~repro.fuzz.targets.PredictionTarget`: K-member ensembles run
-the same schedules, with the whole ensemble broadcast once per worker
-in the process pool.  The schedules:
+the same schedules.  The schedules:
 
-* :class:`SerialExecutor` — the paper-literal loop, one input at a time
+* :class:`SerialExecutor` — the loop at batch size 1, one input at a
+  time with one generator threaded through the inputs in order
   (exactly :meth:`repro.fuzz.fuzzer.HDTest.fuzz`);
-* :class:`BatchedExecutor` — the lock-step vectorized engine
-  (:class:`repro.fuzz.batch.BatchedHDTest`) over chunks of
-  ``batch_size`` inputs;
+* :class:`BatchedExecutor` — the loop over chunks of ``batch_size``
+  inputs (:class:`repro.fuzz.batch.BatchedHDTest`);
 * :class:`ProcessExecutor` — multiprocessing over contiguous input
   shards: the model is broadcast to each worker once, every input gets
   a deterministic seed derived in the parent, and each shard runs the
-  batched engine.
+  batched loop;
+* :class:`MemberShardedExecutor` — one worker process per ensemble
+  member; the parent runs the loop and the workers answer its
+  per-member encode + query step
+  (:mod:`repro.fuzz.member_sharded`).
 
-RNG discipline: batched and process executors derive one 63-bit seed
-per *input* from the root generator (the same stream
-:func:`repro.utils.rng.spawn` draws).  Per-input outcomes — guided
-*and* unguided — are identical to each other and to sequential
+RNG discipline: the batched, process and member-sharded executors
+derive one 63-bit seed per *input* from the root generator (the same
+stream :func:`repro.utils.rng.spawn` draws).  Per-input outcomes —
+guided *and* unguided — are identical to each other and to
 :meth:`~repro.fuzz.fuzzer.HDTest.fuzz_one` calls under per-input
 spawned generators, invariant to ``batch_size`` and ``n_workers``: the
-engines hand each input's generator to the fitness function too, so
+engine hands each input's generator to the fitness function too, so
 the unguided baseline's random survival draws from the same per-input
-stream as that input's mutations (see
-:mod:`repro.fuzz.fitness`).  The serial executor instead threads one
-generator through inputs sequentially, preserving the seed
-implementation's exact streams for guided runs (unguided serial
-streams changed when the fitness moved onto the shared generator).
+stream as that input's mutations (see :mod:`repro.fuzz.fitness`).  The
+serial executor instead threads one generator through the inputs in
+order, reproducing the historical serial streams (pinned by golden
+digests in ``tests/fuzz/test_serial_streams.py``).
 
 Pool reuse: :class:`ProcessExecutor` keeps its worker pool (and each
 worker's engine, with its content-keyed dedupe caches) alive across
@@ -299,26 +302,17 @@ class BatchedExecutor(CampaignExecutor):
             config=config, constraint=constraint,
             fitness=fitness, oracle=oracle, rng=rng, telemetry=telemetry,
         )
-        obs = fuzzer.telemetry
-        mark = obs.marker()
         generators = spawn(rng, len(inputs))
-        outcomes: list[InputOutcome] = []
-        with Stopwatch() as sw:
-            for lo in range(0, len(inputs), self.batch_size):
-                hi = min(lo + self.batch_size, len(inputs))
-                outcomes.extend(
-                    fuzzer.fuzz_outcomes(
-                        inputs[lo:hi], generators=generators[lo:hi]
-                    )
+        step = self.batch_size
+        return fuzzer._campaign(  # noqa: SLF001 - same-package engine
+            lambda: [
+                outcome
+                for lo in range(0, len(inputs), step)
+                for outcome in fuzzer.fuzz_outcomes(
+                    inputs[lo : lo + step], generators=generators[lo : lo + step]
                 )
-        return CampaignResult(
-            strategy=fuzzer.strategy.name,
-            outcomes=outcomes,
-            elapsed_seconds=sw.elapsed,
-            guided=fuzzer._fitness.guided,  # noqa: SLF001 - same-module family
+            ],
             executor=self.name,
-            n_members=fuzzer.target.n_members,
-            telemetry=obs.since(mark),
         )
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""The HDTest fuzzing loop (Sec. IV, Alg. 1) — domain- and target-generic.
+"""The HDTest fuzzing engine (Sec. IV, Alg. 1) — domain- and target-generic.
 
 For each unlabeled input ``t`` (an image, a string, a feature
 record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
@@ -16,9 +16,35 @@ record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
    d. otherwise score children with the fitness function and keep the
       top-N fittest as next iteration's seeds.
 
-The loop is deliberately per-input (matching the paper and keeping
-iteration counts honest); all per-iteration work — mutation, encoding,
-prediction, fitness — is batched across children.
+:meth:`HDTest.fuzz_outcomes` is the one implementation of this loop.
+It runs a whole batch of inputs in lock-step: each iteration mutates
+every active input's seeds, then issues **one fused encode and one
+fused predict per target member** over all of their children, and an
+input retires the moment its oracle flips, so per-input iteration
+counts are those of the paper's per-input loop.  Every schedule is
+this loop:
+
+* :meth:`HDTest.fuzz_one` / :meth:`HDTest.fuzz` — batch size 1, with
+  one generator threaded through the inputs in order (the serial
+  executor and the CLI default);
+* :class:`~repro.fuzz.batch.BatchedHDTest` — many inputs per call,
+  one spawned generator per input (the batched and process executors);
+* :class:`~repro.fuzz.member_sharded.MemberShardedHDTest` — the same
+  loop with the per-member encode + query step run by one worker
+  process per ensemble member (it overrides the loop's three seams:
+  the reference pass, the per-iteration evaluation, and the survivor
+  commit).
+
+Because every input owns its generator, an input's outcome does not
+depend on which other inputs share its batch::
+
+    generators = spawn(seed, len(inputs))
+    HDTest(model, "gauss").fuzz_outcomes(inputs, generators=generators)
+    ==  [HDTest(model, "gauss").fuzz_one(x, rng=g)
+         for x, g in zip(inputs, generators)]
+
+(property-tested in ``tests/fuzz/test_batch.py`` for images and
+``tests/fuzz/test_cross_modality.py`` for text and records).
 
 The *system under test* is a
 :class:`~repro.fuzz.targets.PredictionTarget` — either one classifier
@@ -45,20 +71,45 @@ converted back at exit.  The domain also supplies the default
 perturbation constraint and decides whether the model's encoder
 supports incremental encoding.
 
-Like the batched engine, the sequential loop encodes children
-*incrementally* whenever the encoder exposes the delta surface
-(:data:`~repro.fuzz.domains.DELTA_ENCODER_API`): each surviving seed
-carries its integer accumulator and quantised levels through the
-:class:`SeedPool`, and a child's accumulator is computed from its
-parent's over only the changed components (pixels, characters, …).
-The algebra is exact, so outcomes are bit-identical to scratch
-re-encoding (property-tested in ``tests/fuzz/test_sequential_delta.py``
-and ``tests/fuzz/test_cross_modality.py``).
+Two encode paths are used, picked automatically:
+
+* **incremental (delta)** — when the encoder exposes
+  :data:`~repro.fuzz.domains.DELTA_ENCODER_API`, each surviving seed
+  carries its integer accumulator and quantised levels through the
+  :class:`~repro.fuzz.seeds.SeedPoolBatch`, and a child's accumulator
+  is computed from its parent's over only the changed components
+  (pixels, n-grams, features).  The integer algebra is exact, so
+  hypervectors are bit-identical to a full encode at a fraction of the
+  work.
+* **direct** — any other encoder: the iteration's cache-missing
+  children of every input are stacked into a single ``encode_batch``
+  call.
+
+Both paths hoist every per-child step to the iteration's concatenated
+child block: quantisation, cache-key hashing (one ``tobytes`` sliced
+per row), one ragged ``accumulate_delta`` (or ``encode_batch``) over
+the cache misses of *all* inputs, and one ``hvs_from_accumulators``.
+Inside the encoders, the delta kernels in
+:mod:`repro.hdc.encoders._blocked` scatter all children's changed
+components as one flat block with segment sums, so an iteration issues
+O(1) kernel calls per member however many inputs, seeds or children
+are in flight.
+
+Both paths dedupe through per-input bounded LRU caches keyed by child
+bytes — each input gets a share of ``HDTestConfig.cache_max_entries``
+(floored at 32 entries) so the aggregate memory bound is independent of
+how many inputs are in flight.  This is what makes discrete strategies
+such as ``shift`` nearly free.  The caches are keyed by the *content*
+of the original input and live on the engine instance, so an input
+that returns — a later :meth:`HDTest.fuzz_one` call, a campaign wave of
+:func:`~repro.fuzz.campaign.generate_adversarial_set`, an executor
+chunk — finds its working set already warm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
 import numpy as np
@@ -76,7 +127,7 @@ from repro.fuzz.fitness import (
 from repro.fuzz.mutations import MutationStrategy, create_strategy
 from repro.fuzz.oracle import DifferentialOracle, EnsembleOracle
 from repro.fuzz.results import AdversarialExample, CampaignResult, InputOutcome
-from repro.fuzz.seeds import SeedPool
+from repro.fuzz.seeds import SeedPoolBatch
 from repro.fuzz.targets import (
     PredictionTarget,
     TargetPredictions,
@@ -86,8 +137,8 @@ from repro.fuzz.targets import (
 )
 from repro.hdc.model import HDCClassifier
 from repro.obs.recorder import NULL_TELEMETRY, CampaignTelemetry, Stopwatch
-from repro.utils.cache import LRUCache, resolve_with_cache
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.cache import LRUCache
+from repro.utils.rng import RngLike, ensure_rng, spawn
 from repro.utils.validation import check_positive_int
 
 __all__ = ["HDTestConfig", "HDTest", "DELTA_ENCODER_API"]
@@ -139,6 +190,77 @@ class HDTestConfig:
         check_positive_int(self.top_n, "top_n")
         check_positive_int(self.children_per_seed, "children_per_seed")
         check_positive_int(self.cache_max_entries, "cache_max_entries")
+
+
+def _cache_share(config: HDTestConfig, n_inputs: int) -> int:
+    """Per-input dedupe-cache capacity when *n_inputs* run at once.
+
+    Each input gets a share of ``config.cache_max_entries``, floored at
+    32 entries (plenty for the discrete working sets that actually
+    hit), so the aggregate bound is independent of the batch size; a
+    single input gets the whole budget.
+    """
+    return min(
+        config.cache_max_entries, max(32, config.cache_max_entries // n_inputs)
+    )
+
+
+class _CachePool:
+    """Per-input dedupe caches keyed by input content, budget-bounded.
+
+    Values are the familiar child-bytes → encode-result LRU caches; the
+    pool evicts whole per-input caches least-recently-fuzzed first, so
+    a long-lived engine cycling through an unbounded stream of distinct
+    inputs cannot grow without bound.  The bound is an *aggregate entry
+    budget* (sum of live cache capacities), not a cache count — so a
+    stream of single-input calls (each claiming the full per-call
+    capacity) retains a couple of warm caches, not hundreds.  Callers
+    :meth:`reserve` the current batch's footprint before an iteration,
+    which both sizes the budget (with 2× headroom for wave recycling)
+    and guarantees active inputs never evict each other mid-run; each
+    :meth:`get` re-applies the *current* per-input capacity share, so a
+    surviving cache from a small-batch call shrinks (LRU-evicting) when
+    many inputs later split the same budget.
+    """
+
+    __slots__ = ("entry_budget", "_caches", "_total_capacity")
+
+    def __init__(self) -> None:
+        self.entry_budget = 0
+        self._caches: OrderedDict[bytes, LRUCache[bytes, Any]] = OrderedDict()
+        self._total_capacity = 0
+
+    def reserve(self, n_inputs: int, capacity: int) -> None:
+        """Ensure *n_inputs* caches of *capacity* fit, with 2× headroom."""
+        self.entry_budget = max(self.entry_budget, 2 * n_inputs * capacity)
+
+    def get(self, key: bytes, capacity: int) -> LRUCache[bytes, Any]:
+        cache = self._caches.get(key)
+        if cache is None:
+            cache = self._caches[key] = LRUCache(capacity)
+            self._total_capacity += capacity
+            while self._total_capacity > self.entry_budget and len(self._caches) > 1:
+                _, evicted = self._caches.popitem(last=False)
+                self._total_capacity -= evicted.max_entries
+        else:
+            if cache.max_entries != capacity:
+                self._total_capacity += capacity - cache.max_entries
+                cache.resize(capacity)
+            self._caches.move_to_end(key)
+        return cache
+
+
+class _ActiveInput:
+    """Book-keeping for one not-yet-retired input of the lock-step batch."""
+
+    __slots__ = ("index", "original", "reference", "generator", "cache_key")
+
+    def __init__(self, index, original, reference, generator, cache_key):
+        self.index = index
+        self.original = original
+        self.reference = reference  # TargetReference (label, votes, fitness_hv)
+        self.generator = generator
+        self.cache_key = cache_key
 
 
 class HDTest:
@@ -228,6 +350,9 @@ class HDTest:
         # through; a bare model wraps into a SingleModelTarget, whose
         # engine behaviour is bit-identical to the pre-target engines.
         self._target = resolve_target(model)
+        # Content-keyed per-input dedupe caches, persistent across calls
+        # so recycled inputs re-enter with a warm working set.
+        self._cache_pool = _CachePool()
         self._model = self._target.primary
         self._strategy = (
             create_strategy(strategy) if isinstance(strategy, str) else strategy
@@ -363,98 +488,236 @@ class HDTest:
         """The active recorder (:data:`NULL_TELEMETRY` when disabled)."""
         return self._obs
 
-    # -- single input ------------------------------------------------------
+    # -- campaign entry points ---------------------------------------------
     def fuzz_one(self, original: Any, *, rng: RngLike = None) -> InputOutcome:
-        """Run Alg. 1 on one input; returns its :class:`InputOutcome`."""
+        """Run Alg. 1 on one input; returns its :class:`InputOutcome`.
+
+        The lock-step engine at batch size 1: *rng* (default: the
+        engine's own generator) drives this input's mutations and, for
+        the unguided baseline, its random survival.
+        """
         generator = ensure_rng(rng) if rng is not None else self._rng
+        return self.fuzz_outcomes([original], generators=[generator])[0]
+
+    def fuzz(self, inputs: Sequence[Any], *, rng: RngLike = None) -> CampaignResult:
+        """Fuzz every input; returns the aggregated :class:`CampaignResult`.
+
+        Inputs run one at a time with *one* generator threaded through
+        them in order, so each input continues the stream the previous
+        one left behind — the serial schedule's historical streams
+        (:class:`~repro.fuzz.batch.BatchedHDTest` spawns one generator
+        per input instead).
+        """
+        generator = ensure_rng(rng) if rng is not None else self._rng
+        return self._campaign(
+            lambda: [self.fuzz_one(x, rng=generator) for x in inputs]
+        )
+
+    def _campaign(self, run, **labels: Any) -> CampaignResult:
+        """Time ``run()``'s outcomes into a :class:`CampaignResult`."""
+        mark = self._obs.marker()
+        with Stopwatch() as sw:
+            outcomes = run()
+        return CampaignResult(
+            strategy=self._strategy.name,
+            outcomes=outcomes,
+            elapsed_seconds=sw.elapsed,
+            guided=self._fitness.guided,
+            n_members=self._target.n_members,
+            telemetry=self._obs.since(mark),
+            **labels,
+        )
+
+    def fuzz_outcomes(
+        self,
+        inputs: Sequence[Any],
+        *,
+        rng: RngLike = None,
+        generators: Optional[Sequence[np.random.Generator]] = None,
+    ) -> list[InputOutcome]:
+        """Run Alg. 1 on all inputs in lock-step; one outcome per input.
+
+        Parameters
+        ----------
+        inputs:
+            Raw inputs of the engine's domain, identical shape/length.
+        rng:
+            Root randomness; per-input child generators are spawned from
+            it (ignored when *generators* is given).
+        generators:
+            Explicit per-input child generators — the executors use this
+            to keep outcomes invariant to chunking, and :meth:`fuzz_one`
+            to thread one generator through a serial campaign.
+        """
+        n = len(inputs)
+        if n == 0:
+            return []
+        if generators is None:
+            root = ensure_rng(rng) if rng is not None else self._rng
+            generators = spawn(root, n)
+        elif len(generators) != n:
+            raise ConfigurationError(
+                f"{len(generators)} generators for {n} inputs"
+            )
+        originals = self._domain.stack(inputs)
         cfg = self._config
         obs = self._obs
-        obs.count("inputs")
+        obs.count("inputs", n)
+        ref_predictions, pool, surface = self._reference_pass(originals)
 
-        internal = self._domain.to_internal(original)
-        pool: SeedPool = SeedPool(cfg.top_n)
+        active: list[_ActiveInput] = []
+        outcomes: list[Optional[InputOutcome]] = [None] * n
+        for i in range(n):
+            reference = self._target.reference(ref_predictions, i)
+            if self._oracle.reference_discrepancy(reference.votes):
+                # HDXplore-style seed discrepancy: the members disagree
+                # before any mutation — report it without spending budget.
+                example = self._seed_discrepancy_example(originals[i], reference)
+                obs.record_success(0, example.disagreed_members)
+                outcomes[i] = InputOutcome(
+                    success=True,
+                    iterations=0,
+                    reference_label=reference.label,
+                    example=example,
+                )
+                continue
+            active.append(
+                _ActiveInput(
+                    i, originals[i], reference, generators[i],
+                    originals[i].tobytes(),
+                )
+            )
+
+        for iteration in range(1, cfg.iter_times + 1):
+            if not active:
+                break
+            obs.count("iterations", len(active))
+            obs.heartbeat()
+            with obs.phase("mutate"):
+                plans = self._mutation_plans(active, pool)
+            if not plans:
+                continue
+            obs.count(
+                "encode_requests", sum(len(children) for _, children, _ in plans)
+            )
+            all_predictions, encoded = self._evaluate(plans, pool, surface)
+            retired: set[int] = set()
+            orders: list[tuple[int, np.ndarray]] = []
+            offset = 0
+            for (state, children, _), (bundle, accs, levels) in zip(plans, encoded):
+                predictions = all_predictions.slice(offset, offset + len(children))
+                offset += len(children)
+                flips = self._discrepancies(state.reference, predictions)
+                if flips.any():
+                    example = self._pick_success(
+                        state.original, children, predictions.labels, flips,
+                        state.reference, iteration,
+                    )
+                    obs.record_success(iteration, example.disagreed_members)
+                    outcomes[state.index] = InputOutcome(
+                        success=True,
+                        iterations=iteration,
+                        reference_label=state.reference.label,
+                        example=example,
+                    )
+                    retired.add(state.index)
+                    continue
+                scores = self._score_children(
+                    state.reference, predictions, bundle, state.generator
+                )
+                order = pool.update(
+                    state.index, children, scores,
+                    generation=iteration, accumulators=accs, levels=levels,
+                )
+                if order is not None:
+                    orders.append((state.index, order))
+            self._commit_survivors(orders)
+            if retired:
+                active = [s for s in active if s.index not in retired]
+
+        if active:
+            obs.count("exhausted", len(active))
+        for state in active:
+            outcomes[state.index] = InputOutcome(
+                success=False,
+                iterations=cfg.iter_times,
+                reference_label=state.reference.label,
+            )
+        return outcomes  # type: ignore[return-value]
+
+    # -- the loop's seams (the member-sharded engine overrides these) -------
+    def _reference_pass(self, originals: np.ndarray):
+        """Alg. 1 line 1, ``y = HDC(t)``, for every original at once.
+
+        One fused encode + predict per member; with a delta-capable
+        target the same encode seeds the pool's side data.  Returns the
+        reference predictions, the seed pool, and the delta surface the
+        run encodes children through (``None``: scratch encoding).
+        """
+        n = originals.shape[0]
+        cfg = self._config
+        obs = self._obs
         surface = self._target.delta_surface(self._delta_encoder())
         with obs.phase("encode"):
             if surface is not None:
-                # One scratch encode serves both the reference query and the
-                # generation-0 delta side data (Alg. 1 line 1, "y = HDC(t)").
-                stacked = internal[None]
-                acc0, levels0 = surface.seed_side_data(stacked)
-                reference_query = surface.hvs_from_accumulators(acc0)
-                pool.reset(internal, accumulator=acc0[0], levels=levels0[0])
+                ref_accs, ref_levels = surface.seed_side_data(originals)
+                ref_bundle = surface.hvs_from_accumulators(ref_accs)
+                pool = SeedPoolBatch(
+                    originals, cfg.top_n, accumulators=ref_accs, levels=ref_levels
+                )
             else:
-                reference_query = self._target.encode_batch(internal[None])
-                pool.reset(internal)
-        obs.count("seed_encodes")
+                ref_bundle = self._target.encode_batch(originals)
+                pool = SeedPoolBatch(originals, cfg.top_n)
+        obs.count("seed_encodes", n)
         with obs.phase("query"):
-            ref = self._target.reference(self._target.predict_hvs(reference_query))
-        obs.count("am_queries", self._target.n_members)
-        if self._oracle.reference_discrepancy(ref.votes):
-            # HDXplore-style seed discrepancy: the members disagree
-            # before any mutation — report it without spending budget.
-            example = self._seed_discrepancy_example(internal, ref)
-            obs.record_success(0, example.disagreed_members)
-            return InputOutcome(
-                success=True,
-                iterations=0,
-                reference_label=ref.label,
-                example=example,
-            )
-        encode_cache: LRUCache[bytes, Any] = LRUCache(cfg.cache_max_entries)
+            ref_predictions = self._target.predict_hvs(ref_bundle)
+        obs.count("am_queries", n * self._target.n_members)
+        self._cache_pool.reserve(n, _cache_share(cfg, n))
+        return ref_predictions, pool, surface
 
-        for iteration in range(1, cfg.iter_times + 1):
-            obs.count("iterations")
-            obs.heartbeat()
-            seeds = pool.seeds
-            with obs.phase("mutate"):
-                children, parent_ids = self._expand(seeds, internal, generator)
-            if len(children) == 0:
-                # Every child blew the budget; iteration still counts
-                # (seed generation + check happened), seeds are retained.
-                continue
+    def _evaluate(self, plans, pool: SeedPoolBatch, surface):
+        """Encode + predict one iteration's children across every plan.
 
-            accs = levels = None
-            obs.count("encode_requests", len(children))
-            with obs.phase("encode"):
-                if surface is not None:
-                    bundle, accs, levels = self._encode_children_delta(
-                        surface, children, parent_ids, seeds, encode_cache
-                    )
-                else:
-                    bundle = self._encode_children(children, encode_cache)
-            predictions = self._predict_children(bundle)
-            flips = self._discrepancies(ref, predictions)
-            if flips.any():
-                example = self._pick_success(
-                    internal, children, predictions.labels, flips, ref, iteration
+        Returns the fused :class:`TargetPredictions` over all plans'
+        children (concatenated in plan order) and, per plan, the
+        ``(bundle, accumulators, levels)`` that fitness scoring and the
+        seed pool's side arrays consume.
+        """
+        capacity = _cache_share(self._config, pool.n_inputs)
+        with self._obs.phase("encode"):
+            if surface is not None:
+                encoded = self._encode_plans_delta(
+                    surface, plans, pool, self._cache_pool, capacity
                 )
-                obs.record_success(iteration, example.disagreed_members)
-                return InputOutcome(
-                    success=True,
-                    iterations=iteration,
-                    reference_label=ref.label,
-                    example=example,
+            else:
+                encoded = self._encode_plans_direct(
+                    plans, self._cache_pool, capacity
                 )
-
-            scores = self._score_children(ref, predictions, bundle, generator)
-            pool.update(
-                children, scores, generation=iteration,
-                accumulators=accs, levels=levels,
+        # One fused prediction per encode block over every input's
+        # children — the K-model lock-step step (a shared-codebook
+        # ensemble emits a single block).
+        predictions = self._predict_children(
+            tuple(
+                np.concatenate([e[0][m] for e in encoded], axis=0)
+                for m in range(self._target.n_encode_blocks)
             )
-
-        obs.count("exhausted")
-        return InputOutcome(
-            success=False,
-            iterations=cfg.iter_times,
-            reference_label=ref.label,
         )
+        return predictions, encoded
+
+    def _commit_survivors(self, orders: list[tuple[int, np.ndarray]]) -> None:
+        """Hook for the iteration's survivor orders (input index, order).
+
+        In-process the pool's side arrays already moved with
+        :meth:`SeedPoolBatch.update`; member-sharded workers replay the
+        orders against their own per-member side arrays.
+        """
 
     # -- target dispatch ---------------------------------------------------
     def _predict_children(self, bundle) -> TargetPredictions:
         """Lock-step member predictions over one child bundle.
 
-        Shared by both engines, so instrumenting here covers the
-        ``query`` phase and AM-query counting everywhere.
+        Instrumenting here covers the ``query`` phase and AM-query
+        counting for every in-process schedule.
         """
         self._obs.count("am_queries", len(bundle[0]) * self._target.n_members)
         with self._obs.phase("query"):
@@ -479,41 +742,56 @@ class HDTest:
                 return self._fitness.scores(ref.fitness_hv, bundle[0], rng=generator)
             return self._fitness.scores_ensemble(predictions, rng=generator)
 
-    # -- batches -----------------------------------------------------------
-    def fuzz(self, inputs: Sequence[Any], *, rng: RngLike = None) -> CampaignResult:
-        """Fuzz every input; returns the aggregated :class:`CampaignResult`."""
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        outcomes: list[InputOutcome] = []
-        mark = self._obs.marker()
-        with Stopwatch() as sw:
-            for original in inputs:
-                outcomes.append(self.fuzz_one(original, rng=generator))
-        return CampaignResult(
-            strategy=self._strategy.name,
-            outcomes=outcomes,
-            elapsed_seconds=sw.elapsed,
-            guided=self._fitness.guided,
-            n_members=self._target.n_members,
-            telemetry=self._obs.since(mark),
-        )
+    # -- mutation + encoding -----------------------------------------------
+    def _mutation_plans(self, active, pool: SeedPoolBatch):
+        """Mutate + clip + budget-filter each active input's seeds.
 
-    # -- internals -----------------------------------------------------
+        Returns ``(state, children, parent_ids)`` triples for inputs
+        with at least one in-budget child; inputs whose children all
+        blew the budget simply sit the iteration out (their seeds are
+        retained and the iteration still counts).
+        """
+        cfg = self._config
+        plans = []
+        for state in active:
+            batches = [
+                self._strategy.mutate(seed, cfg.children_per_seed, rng=state.generator)
+                for seed in pool.seeds(state.index)
+            ]
+            if not isinstance(batches[0], np.ndarray):
+                raise FuzzingError(
+                    f"strategy {self._strategy.name!r} returned "
+                    f"{type(batches[0]).__name__} children for an array seed; "
+                    "strategies must stay in the domain's internal representation"
+                )
+            children = np.concatenate(batches, axis=0)
+            self._obs.count("children", len(children))
+            self._obs.count_strategy(self._strategy.name, len(children))
+            children = self._constraint.clip(children)
+            keep = self._constraint.accept(state.original, children)
+            self._obs.count("children_in_budget", int(keep.sum()))
+            if not keep.any():
+                continue
+            # Derived from actual batch lengths, not children_per_seed,
+            # so a strategy returning an off-count batch cannot silently
+            # pair children with the wrong parent.
+            parent_ids = np.repeat(
+                np.arange(len(batches)), [len(batch) for batch in batches]
+            )[keep]
+            plans.append((state, children[keep], parent_ids))
+        return plans
+
     def _count_encodes(self, n_children: int) -> None:
         """Count *n_children* actually-encoded rows (cache misses)."""
         self._obs.count("encoded_children", n_children)
         self._obs.count("encodes", n_children * self._target.n_encode_blocks)
 
     @staticmethod
-    def _child_key(child) -> bytes:
-        """Dedupe-cache key of one child (raw bytes of its internal form)."""
-        return child.tobytes()
-
-    @staticmethod
     def _child_keys(children: np.ndarray) -> list[bytes]:
         """Dedupe-cache keys of a whole child block, hashed in one pass.
 
-        One ``tobytes`` over the contiguous block, sliced per row —
-        byte-identical to calling :meth:`_child_key` row by row.
+        One ``tobytes`` over the contiguous block, sliced per row — each
+        key is the raw bytes of one child's internal form.
         """
         block = np.ascontiguousarray(children)
         blob = block.tobytes()
@@ -523,64 +801,6 @@ class HDTest:
             for j in range(len(block))
         ]
 
-    def _encode_children(self, children, cache: LRUCache[bytes, Any]):
-        """Scratch-encode children (per-member bundle), memoised per input.
-
-        Cache entries hold one row per member so mixed-width ensembles
-        (members of different hypervector dimension or packing) dedupe
-        through the same cache.
-        """
-        if not self._config.dedupe:
-            self._count_encodes(len(children))
-            return self._target.encode_batch(children)
-
-        def encode_missing(positions: list[int]) -> list[tuple]:
-            self._count_encodes(len(positions))
-            fresh = self._target.encode_batch(
-                np.stack([children[p] for p in positions])
-            )
-            return [tuple(block[j] for block in fresh) for j in range(len(positions))]
-
-        keys = [self._child_key(child) for child in children]
-        rows = resolve_with_cache(cache, keys, encode_missing)
-        return tuple(
-            np.stack([row[m] for row in rows])
-            for m in range(self._target.n_encode_blocks)
-        )
-
-    def _expand(self, seeds, original: np.ndarray, generator: np.random.Generator):
-        """Mutate, clip, and budget-filter every surviving seed's children.
-
-        Seeds and children are internal domain arrays.  Returns the
-        in-budget children plus each child's parent index into *seeds*;
-        parent indices are derived from actual batch lengths, so an
-        off-count mutation batch cannot silently pair a child with the
-        wrong parent.
-        """
-        cfg = self._config
-        batches = [
-            self._strategy.mutate(seed.data, cfg.children_per_seed, rng=generator)
-            for seed in seeds
-        ]
-        if not isinstance(batches[0], np.ndarray):
-            raise FuzzingError(
-                f"strategy {self._strategy.name!r} returned "
-                f"{type(batches[0]).__name__} children for an array seed; "
-                "strategies must stay in the domain's internal representation"
-            )
-        children = np.concatenate(batches, axis=0)
-        self._obs.count("children", len(children))
-        self._obs.count_strategy(self._strategy.name, len(children))
-        children = self._constraint.clip(children)
-        keep = self._constraint.accept(original, children)
-        parent_ids = np.repeat(
-            np.arange(len(batches)), [len(batch) for batch in batches]
-        )[keep]
-        kept = children[keep]
-        self._obs.count("children_in_budget", len(kept))
-        return kept, parent_ids
-
-    # -- incremental (delta) encoding --------------------------------------
     def _delta_encoder(self):
         """The target's delta-capable encoder handle, or ``None``.
 
@@ -591,34 +811,174 @@ class HDTest:
         """
         return self._target.delta_encoder(self._domain)
 
-    def _encode_children_delta(self, surface, children, parent_ids, seeds, cache):
+    def _encode_plans_delta(self, surface, plans, pool: SeedPoolBatch, caches, capacity):
         """Incremental path: children encoded from parent accumulators.
 
         Cache entries hold compact integer accumulators (they are
-        exact — the hypervector is a deterministic function of them), so
-        a hit skips even the delta work.  Bit-identical to a scratch
-        ``encode_batch`` of the children.  For ensembles the
-        accumulator rows carry a leading member axis (every member
-        delta-encodes from its own parent accumulator).
-        """
-        levels = surface.child_levels(children)
-        parent_accs_all = np.stack([seed.accumulator for seed in seeds])
-        parent_levels_all = np.stack([seed.levels for seed in seeds])
+        exact — the hypervector is a deterministic function of them),
+        so a hit skips even the delta work.
 
-        def delta_missing(positions: list) -> np.ndarray:
-            self._count_encodes(len(positions))
-            rows = parent_ids[positions]
+        Every per-child step is hoisted to the iteration's concatenated
+        child block: quantisation, cache-key hashing (one ``tobytes``
+        sliced per row), the ragged delta scatter, and the final
+        accumulator → hypervector conversion each run **once** per
+        iteration, regardless of how many inputs are active.  Lookups
+        and insertions stay in each input's own LRU cache (the
+        :func:`repro.utils.cache.resolve_with_cache` pinning discipline,
+        spread across cache domains; duplicate inputs sharing a cache
+        also share the pinned working dict, preserving their cross-plan
+        dedupe).  With an ensemble target the accumulator rows carry a
+        leading member axis: each member delta-encodes every child from
+        *its own* parent accumulator, still one vectorised call per
+        member per iteration.
+        """
+        bounds = np.concatenate(
+            ([0], np.cumsum([len(children) for _, children, _ in plans]))
+        )
+        all_children = np.concatenate([children for _, children, _ in plans])
+        all_levels = surface.child_levels(all_children)
+
+        def fused_delta(positions_by_plan) -> np.ndarray:
+            """One ``accumulate_delta`` over every plan's listed rows."""
+            rows = [
+                bounds[p] + np.asarray(pos, dtype=np.int64)
+                for p, pos in enumerate(positions_by_plan)
+                if len(pos)
+            ]
+            global_rows = np.concatenate(rows)
+            self._count_encodes(len(global_rows))
+            parent_levels, parent_accs = [], []
+            for p, pos in enumerate(positions_by_plan):
+                if not len(pos):
+                    continue
+                state, _, parent_ids = plans[p]
+                parents = parent_ids[np.asarray(pos, dtype=np.int64)]
+                parent_levels.append(pool.levels(state.index)[parents])
+                parent_accs.append(pool.accumulators(state.index)[parents])
             return surface.accumulate_delta(
-                levels[positions], parent_levels_all[rows], parent_accs_all[rows]
+                all_levels[global_rows],
+                np.concatenate(parent_levels),
+                np.concatenate(parent_accs),
             )
 
         if self._config.dedupe:
-            keys = [self._child_key(children[j]) for j in range(len(children))]
-            accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
+            all_keys = self._child_keys(all_children)
+            pinned: dict[int, dict[bytes, Any]] = {}  # shared per cache object
+            plan_ctx = []  # (keys, local) per plan
+            miss_by_plan: list[list[int]] = []
+            miss_slots: list[tuple[dict, Any, bytes]] = []
+            for p, (state, children, _) in enumerate(plans):
+                cache = caches.get(state.cache_key, capacity)
+                local = pinned.setdefault(id(cache), {})
+                keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
+                misses: list[int] = []
+                for j, key in enumerate(keys):
+                    if key not in local:
+                        local[key] = cache.get(key)
+                        if local[key] is None:
+                            misses.append(j)
+                            miss_slots.append((local, cache, key))
+                plan_ctx.append((keys, local))
+                miss_by_plan.append(misses)
+            if miss_slots:
+                fresh = fused_delta(miss_by_plan)
+                for row, (local, cache, key) in zip(fresh, miss_slots):
+                    local[key] = row
+                    cache.put(key, row)
+            if len(miss_slots) == len(all_keys):
+                # Every child missed and no key repeated, so ``fresh``
+                # already holds the rows in global order — skip the
+                # per-row re-assembly stack (the common case early in a
+                # campaign, when the caches are cold).
+                all_accs = fresh
+            else:
+                all_accs = np.stack(
+                    [local[key] for keys, local in plan_ctx for key in keys]
+                )
         else:
-            accs = delta_missing(list(range(len(children))))
-        return surface.hvs_from_accumulators(accs), accs, levels
+            all_accs = fused_delta(
+                [range(len(children)) for _, children, _ in plans]
+            )
+        all_bundle = surface.hvs_from_accumulators(all_accs)
+        encoded = []
+        for p in range(len(plans)):
+            s, e = int(bounds[p]), int(bounds[p + 1])
+            encoded.append((
+                tuple(block[s:e] for block in all_bundle),
+                all_accs[s:e],
+                all_levels[s:e],
+            ))
+        return encoded
 
+    def _encode_plans_direct(self, plans, caches, capacity):
+        """Fallback path: one fused ``encode_batch`` for all cache misses.
+
+        Misses from every plan are flattened into one stack so the whole
+        iteration still costs a single model call *per member*, while
+        lookups and insertions stay in each input's own cache (the same
+        pinning discipline as :func:`repro.utils.cache.resolve_with_cache`,
+        spread across cache domains).  Cache entries hold one row per
+        encode block, so mixed-width ensembles share the machinery and
+        shared-codebook ensembles cache a single row.
+        """
+        k = self._target.n_encode_blocks
+        bounds = np.concatenate(
+            ([0], np.cumsum([len(children) for _, children, _ in plans]))
+        )
+        all_children = np.concatenate([children for _, children, _ in plans])
+        if not self._config.dedupe:
+            self._count_encodes(len(all_children))
+            all_bundle = self._target.encode_batch(all_children)
+            return [
+                (
+                    tuple(
+                        block[int(bounds[p]) : int(bounds[p + 1])]
+                        for block in all_bundle
+                    ),
+                    None, None,
+                )
+                for p in range(len(plans))
+            ]
+        all_keys = self._child_keys(all_children)
+        resolved = []  # (keys, local) per plan
+        miss_rows: list[int] = []
+        slots: list[tuple[dict, Any, bytes]] = []  # (local, cache, key) per miss
+        for p, (state, children, _) in enumerate(plans):
+            cache = caches.get(state.cache_key, capacity)
+            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
+            local: dict[bytes, Optional[tuple]] = {}
+            for j, key in enumerate(keys):
+                if key not in local:
+                    local[key] = cache.get(key)
+                    if local[key] is None:
+                        miss_rows.append(int(bounds[p]) + j)
+                        slots.append((local, cache, key))
+            resolved.append((keys, local))
+        if miss_rows:
+            self._count_encodes(len(miss_rows))
+            fresh = self._target.encode_batch(
+                all_children[np.asarray(miss_rows, dtype=np.int64)]
+            )
+            for j, (local, cache, key) in enumerate(slots):
+                row = tuple(block[j] for block in fresh)
+                local[key] = row
+                cache.put(key, row)
+        # One stack per encode block over every plan's rows, sliced back
+        # per plan — not one stack per plan.
+        rows = [local[key] for keys, local in resolved for key in keys]
+        stacked = tuple(np.stack([row[m] for row in rows]) for m in range(k))
+        return [
+            (
+                tuple(
+                    block[int(bounds[p]) : int(bounds[p + 1])]
+                    for block in stacked
+                ),
+                None, None,
+            )
+            for p in range(len(plans))
+        ]
+
+    # -- reporting ---------------------------------------------------------
     def _pick_success(
         self,
         original: np.ndarray,

@@ -22,8 +22,10 @@ Two execution modes, chosen by the target's shape:
   K AM-only workers.  Campaign outcomes are bit-identical to the
   in-process engines *by construction* — every decision runs the same
   code on the same arrays.
-* **Independent codebooks** — :class:`MemberShardedHDTest` broadcasts
-  raw child blocks; each worker delta- or scratch-encodes them through
+* **Independent codebooks** — :class:`MemberShardedHDTest` runs the
+  same lock-step loop, overriding only its reference pass, its
+  per-iteration evaluation and its survivor commit: it broadcasts raw
+  child blocks; each worker delta- or scratch-encodes them through
   its own member's codebook (with its own per-input dedupe caches and
   per-member survivor side arrays, replaying the parent's survivor
   order) and replies with its label/similarity rows.  Stacking the rows
@@ -51,8 +53,8 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, FuzzingError
-from repro.fuzz.batch import BatchedHDTest, _ActiveInput, _CachePool
-from repro.fuzz.results import InputOutcome
+from repro.fuzz.batch import BatchedHDTest
+from repro.fuzz.fuzzer import _cache_share, _CachePool
 from repro.fuzz.seeds import SeedPoolBatch
 from repro.fuzz.targets import (
     MemberShard,
@@ -61,7 +63,6 @@ from repro.fuzz.targets import (
     _SingleDeltaSurface,
 )
 from repro.utils.cache import resolve_with_cache
-from repro.utils.rng import ensure_rng, spawn
 from repro.utils.shm import (
     ShmArena,
     ShmRef,
@@ -128,12 +129,10 @@ class _WorkerRun:
         self.caches = caches
         n = originals.shape[0]
         self.cache_keys = [row.tobytes() for row in originals]
-        # The lock-step engine's per-input capacity share, verbatim —
-        # identical capacities mean identical LRU hit/miss/eviction
-        # sequences, which keeps encode counters comparable.
-        self.capacity = min(
-            config.cache_max_entries, max(32, config.cache_max_entries // n)
-        )
+        # The lock-step engine's per-input capacity share — identical
+        # capacities mean identical LRU hit/miss/eviction sequences,
+        # which keeps encode counters comparable.
+        self.capacity = _cache_share(config, n)
         caches.reserve(n, self.capacity)
         self.surface = None
         self.side: Optional[_MemberSidePool] = None
@@ -565,16 +564,18 @@ class _VoteGatherTarget(PredictionTarget):
 class MemberShardedHDTest(BatchedHDTest):
     """The independent-codebook member-sharded engine.
 
-    Runs the lock-step loop of :class:`~repro.fuzz.batch.BatchedHDTest`
-    with the per-member encode + query phases displaced into the
-    member workers: the parent mutates, broadcasts raw child blocks,
-    assembles the gathered vote rows into the same
+    Runs the inherited lock-step loop
+    (:meth:`~repro.fuzz.fuzzer.HDTest.fuzz_outcomes`) unchanged and
+    overrides only its three seams, displacing the per-member encode +
+    query step into the member workers: the reference pass and each
+    iteration's evaluation broadcast raw blocks and assemble the
+    gathered vote rows into the same
     :class:`~repro.fuzz.targets.TargetPredictions` the in-process path
-    builds, and runs the oracle / fitness / survival phases unchanged.
-    Survivor selection is shipped back to the workers as index orders
-    (:meth:`~repro.fuzz.seeds.SeedPoolBatch.update`'s return value), so
-    each worker's per-member parent accumulators track the parent's
-    pool without any score traffic.
+    builds, so the parent's oracle / fitness / survival phases run the
+    same code.  The survivor commit ships each input's selection back as
+    an index order (:meth:`~repro.fuzz.seeds.SeedPoolBatch.update`'s
+    return value), so every worker's per-member parent accumulators
+    track the parent's pool without any score traffic.
     """
 
     def __init__(self, *args, group: MemberWorkerGroup, **kwargs) -> None:
@@ -602,158 +603,88 @@ class MemberShardedHDTest(BatchedHDTest):
         """
         return True
 
-    def fuzz_outcomes(
-        self,
-        inputs: Sequence[Any],
-        *,
-        rng=None,
-        generators: Optional[Sequence[np.random.Generator]] = None,
-    ) -> list[InputOutcome]:
-        n = len(inputs)
-        if n == 0:
-            return []
-        if generators is None:
-            root = ensure_rng(rng) if rng is not None else self._rng
-            generators = spawn(root, n)
-        elif len(generators) != n:
-            raise ConfigurationError(f"{len(generators)} generators for {n} inputs")
-        originals = self._stack_inputs(inputs)
-        cfg = self._config
+    # -- the shared loop's seams ---------------------------------------------
+    def _reference_pass(self, originals: np.ndarray):
+        """Workers encode + query the originals through their own member.
+
+        The parent only assembles the vote rows; its seed pool carries
+        no delta side data (each worker keeps its member's), and lives
+        in the group's shared memory when the transport allows.
+        """
         obs = self._obs
         group = self._group
-        obs.count("inputs", n)
-        delta_on = self._member_delta_allowed()
-        with_sims = self._fitness.needs_similarities
-
-        # Reference pass: workers encode + query the originals through
-        # their own member; the parent only assembles votes.
         with obs.phase("broadcast"):
-            nbytes = group.seed(originals, delta_on=delta_on)
+            nbytes = group.seed(originals, delta_on=self._member_delta_allowed())
         obs.count("broadcast_bytes", nbytes)
         with obs.phase("gather"):
             labels, _ = group.gather("seed")
-        ref_predictions = TargetPredictions(labels)
+        self._fold_worker_stats()
+        n = originals.shape[0]
         obs.count("seed_encodes", n)
         obs.count("am_queries", n * self._target.n_members)
         pool = SeedPoolBatch(
-            originals, cfg.top_n, allocator=group.pool_allocator()
+            originals, self._config.top_n, allocator=group.pool_allocator()
         )
+        return TargetPredictions(labels), pool, None
 
-        active = []
-        outcomes: list[Optional[InputOutcome]] = [None] * n
-        for i in range(n):
-            reference = self._target.reference(ref_predictions, i)
-            if self._oracle.reference_discrepancy(reference.votes):
-                example = self._seed_discrepancy_example(originals[i], reference)
-                obs.record_success(0, example.disagreed_members)
-                outcomes[i] = InputOutcome(
-                    success=True,
-                    iterations=0,
-                    reference_label=reference.label,
-                    example=example,
-                )
-                continue
-            active.append(
-                _ActiveInput(
-                    i, originals[i], reference, generators[i],
-                    originals[i].tobytes(),
-                )
+    def _evaluate(self, plans, pool, surface):
+        """Broadcast the raw child block; every worker encodes + queries it.
+
+        Stacking the workers' rows in member order reproduces the
+        in-process :class:`~repro.fuzz.targets.TargetPredictions`
+        exactly.  No per-plan bundle comes back: ensemble fitness scores
+        the predictions alone.
+        """
+        obs = self._obs
+        all_children = np.concatenate([children for _, children, _ in plans], axis=0)
+        metas = [
+            (state.index, parent_ids, len(children))
+            for state, children, parent_ids in plans
+        ]
+        with obs.phase("broadcast"):
+            nbytes = self._group.predict(
+                all_children, metas, with_sims=self._fitness.needs_similarities
             )
+        obs.count("broadcast_bytes", nbytes)
+        with obs.phase("gather"):
+            labels, sims = self._group.gather("predict")
+        self._fold_worker_stats()
+        obs.count("am_queries", len(all_children) * self._target.n_members)
+        return TargetPredictions(labels, sims), [(None, None, None)] * len(plans)
 
-        for iteration in range(1, cfg.iter_times + 1):
-            if not active:
-                break
-            obs.count("iterations", len(active))
-            obs.heartbeat()
-            with obs.phase("mutate"):
-                plans = self._mutation_plans(active, pool)
-            if not plans:
-                continue
-            total_children = sum(len(children) for _, children, _ in plans)
-            obs.count("encode_requests", total_children)
-            all_children = np.concatenate(
-                [children for _, children, _ in plans], axis=0
-            )
-            metas = [
-                (state.index, parent_ids, len(children))
-                for state, children, parent_ids in plans
-            ]
-            with obs.phase("broadcast"):
-                nbytes = group.predict(all_children, metas, with_sims=with_sims)
-            obs.count("broadcast_bytes", nbytes)
-            with obs.phase("gather"):
-                labels, sims = group.gather("predict")
-            all_predictions = TargetPredictions(labels, sims)
-            obs.count("am_queries", total_children * self._target.n_members)
+    def _commit_survivors(self, orders) -> None:
+        """Workers replay the parent's survivor orders on their side arrays.
 
-            retired: set[int] = set()
-            orders: list[tuple[int, np.ndarray]] = []
-            offset = 0
-            for state, children, _ in plans:
-                predictions = all_predictions.slice(offset, offset + len(children))
-                offset += len(children)
-                flips = self._discrepancies(state.reference, predictions)
-                if flips.any():
-                    example = self._pick_success(
-                        state.original, children, predictions.labels, flips,
-                        state.reference, iteration,
-                    )
-                    obs.record_success(iteration, example.disagreed_members)
-                    outcomes[state.index] = InputOutcome(
-                        success=True,
-                        iterations=iteration,
-                        reference_label=state.reference.label,
-                        example=example,
-                    )
-                    retired.add(state.index)
-                    continue
-                scores = self._score_children(
-                    state.reference, predictions, None, state.generator
-                )
-                order = pool.update(
-                    state.index, children, scores, generation=iteration
-                )
-                if order is not None:
-                    orders.append((state.index, order))
-            if orders and delta_on:
-                # Workers replay the parent's survivor order against
-                # their staged per-member side arrays (delta path only;
-                # scratch workers keep no survivor state).
-                with obs.phase("broadcast"):
-                    nbytes = group.commit(orders)
-                obs.count("broadcast_bytes", nbytes)
-            if retired:
-                active = [s for s in active if s.index not in retired]
+        Delta path only: scratch-encoding workers keep no survivor state.
+        """
+        if orders and self._member_delta_allowed():
+            with self._obs.phase("broadcast"):
+                nbytes = self._group.commit(orders)
+            self._obs.count("broadcast_bytes", nbytes)
 
-        if active:
-            obs.count("exhausted", len(active))
-        for state in active:
-            outcomes[state.index] = InputOutcome(
-                success=False,
-                iterations=cfg.iter_times,
-                reference_label=state.reference.label,
-            )
+    def _fold_worker_stats(self) -> None:
+        """Fold the workers' compute time + encode counts into the recorder.
 
-        # Fold the workers' compute time + encode counts into the
-        # recorder the way the process pool folds shard deltas: encode /
-        # query phase seconds sum across workers, and member 0's encode
-        # count stands for encoded_children (identical caches make every
-        # member's count equal — the lock-step engine encodes each
-        # missing child once per member too).
-        if obs.enabled:
-            stats = group.drain_stats()
-            obs.merge({
-                "counters": {
-                    "encoded_children": stats["encoded_children"],
-                    "encodes": stats["member_encodes"],
-                },
-                "phase_seconds": {
-                    "encode": stats["encode_seconds"],
-                    "query": stats["query_seconds"],
-                },
-                "busy_seconds": stats["busy_seconds"],
-            })
-        return outcomes  # type: ignore[return-value]
+        Encode / query phase seconds sum across workers (like the
+        process pool's shard deltas), and member 0's encode count stands
+        for ``encoded_children`` (identical caches make every member's
+        count equal — the lock-step engine encodes each missing child
+        once per member too).
+        """
+        if not self._obs.enabled:
+            return
+        stats = self._group.drain_stats()
+        self._obs.merge({
+            "counters": {
+                "encoded_children": stats["encoded_children"],
+                "encodes": stats["member_encodes"],
+            },
+            "phase_seconds": {
+                "encode": stats["encode_seconds"],
+                "query": stats["query_seconds"],
+            },
+            "busy_seconds": stats["busy_seconds"],
+        })
 
 
 def create_member_engine(

@@ -37,9 +37,9 @@ class Seed(Generic[T]):
         original input).
     accumulator:
         Optional integer encoder accumulator of this seed, carried so
-        the sequential engine can delta-encode the seed's children from
-        it (mirrors :class:`SeedPoolBatch`'s side arrays).  Ensemble
-        targets store one accumulator row per member, ``(K, D)``.
+        the seed's children can be delta-encoded from it (mirrors
+        :class:`SeedPoolBatch`'s side arrays).  Ensemble targets store
+        one accumulator row per member, ``(K, D)``.
     levels:
         Optional quantised levels of this seed, idem.
     """

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fuzz.results import CampaignResult
+from repro.utils.io import atomic_write
 
 __all__ = ["campaign_to_dict", "save_campaigns_json", "load_campaigns_json"]
 
@@ -79,7 +80,8 @@ def save_campaigns_json(
     if not results:
         raise ConfigurationError("results is empty")
     payload = {name: campaign_to_dict(result) for name, result in results.items()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def load_campaigns_json(path: Union[str, Path]) -> dict[str, dict]:

@@ -308,11 +308,22 @@ def _arm_table(records: list[dict]) -> Optional[str]:
 
 
 def _throughput_table(records: list[dict]) -> Optional[str]:
-    """Encode throughput between successive snapshots (JSONL only)."""
+    """Encode throughput between successive snapshots (JSONL only).
+
+    Snapshots are rate-limited, so a campaign shorter than the interval
+    lands only its first one (taken before any encode); each series
+    therefore ends with the campaign's ``campaign_end`` totals.
+    """
     rows = []
     for record in records:
+        series = list(record.get("snapshots", []))
+        end = record.get("telemetry") or {}
+        if series and end.get("elapsed_seconds", 0.0) > series[-1].get(
+            "elapsed_seconds", 0.0
+        ):
+            series.append(end)
         previous = {"elapsed_seconds": 0.0, "counters": {}}
-        for snapshot in record.get("snapshots", []):
+        for snapshot in series:
             elapsed = snapshot.get("elapsed_seconds", 0.0)
             encodes = snapshot.get("counters", {}).get("encodes", 0)
             dt = elapsed - previous["elapsed_seconds"]

@@ -135,3 +135,26 @@ class TestEnsembleRecords:
         for outcome in record["outcomes"]:
             if "example" in outcome:
                 assert outcome["example"]["disagreed_members"] is None
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "campaigns.json"
+        save_campaigns_json(path, {"gauss": _campaign()})
+        before = path.read_bytes()
+        broken = _campaign()
+        # Sorted keys put "telemetry" after the outcomes, so json.dump
+        # has already streamed part of the record when it hits this.
+        broken.telemetry = {"counters": object()}
+        with pytest.raises(TypeError):
+            save_campaigns_json(path, {"gauss": broken})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["campaigns.json"]
+
+    def test_output_matches_plain_json_dump(self, tmp_path):
+        path = tmp_path / "campaigns.json"
+        save_campaigns_json(path, {"gauss": _campaign()})
+        expected = json.dumps(
+            {"gauss": campaign_to_dict(_campaign())}, indent=2, sort_keys=True
+        )
+        assert path.read_text() == expected

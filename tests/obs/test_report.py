@@ -175,3 +175,36 @@ class TestArmTable:
         path = tmp_path / "fixed.jsonl"
         _write_stream(path)
         assert "Adaptive allocation" not in render_report(path)
+
+
+class TestThroughputTable:
+    def test_short_campaign_series_ends_with_campaign_totals(
+        self, trained_model, test_images, tmp_path
+    ):
+        """A campaign shorter than the snapshot interval lands one
+        snapshot, taken before any encode; the series must still end at
+        the campaign's real encode count."""
+        from repro.fuzz import HDTest, HDTestConfig
+
+        path = tmp_path / "short.jsonl"
+        with TelemetrySession(path, snapshot_interval=3600.0) as session:
+            obs = session.campaign("gauss")
+            HDTest(
+                trained_model, "gauss", config=HDTestConfig(iter_times=5),
+                rng=0, telemetry=obs,
+            ).fuzz(list(test_images[:4]))
+            session.finish(obs, summary={})
+        record = load_campaign_records(path)[0]
+        assert len(record["snapshots"]) == 1
+        assert record["snapshots"][0]["counters"].get("encodes", 0) == 0
+        total = record["telemetry"]["counters"]["encodes"]
+        assert total > 0
+
+        section = render_report(path).split("## Throughput over time")[1]
+        rows = [line.split() for line in section.strip().splitlines()[2:]]
+        assert len(rows) == 2
+        assert rows[0][2] == "0"
+        assert rows[-1][2] == str(total)
+        assert float(rows[-1][1]) == pytest.approx(
+            record["telemetry"]["elapsed_seconds"], abs=0.01
+        )
