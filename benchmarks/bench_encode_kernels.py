@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.fuzz import HDTestConfig
 from repro.fuzz.batch import BatchedHDTest
+from repro.fuzz.fuzzer import _child_keys
 from repro.hdc import PixelEncoder
 from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
@@ -161,7 +162,7 @@ class _PreFusionEngine(BatchedHDTest):
                 )
 
             if dedupe:
-                keys = self._child_keys(children)
+                keys = _child_keys(children)
                 cache = caches.get(state.cache_key, capacity)
                 accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
             else:

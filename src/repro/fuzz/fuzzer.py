@@ -263,6 +263,188 @@ class _ActiveInput:
         self.cache_key = cache_key
 
 
+def _child_keys(children: np.ndarray) -> list[bytes]:
+    """Dedupe-cache keys of a whole child block, hashed in one pass.
+
+    One ``tobytes`` over the contiguous block, sliced per row — each
+    key is the raw bytes of one child's internal form.
+    """
+    block = np.ascontiguousarray(children)
+    blob = block.tobytes()
+    row_nbytes = block[0].nbytes
+    return [
+        blob[j * row_nbytes : (j + 1) * row_nbytes]
+        for j in range(len(block))
+    ]
+
+
+def _delta_encode_plans(
+    surface, plans, pool, caches, capacity, *, dedupe: bool, count_encodes
+):
+    """Incremental path: children encoded from parent accumulators.
+
+    *plans* are ``(state, children, parent_ids)`` triples; ``state.index``
+    selects the parents in *pool* and ``state.cache_key`` the input's
+    cache in *caches*.  Returns ``(bundle, accumulators, levels)`` per
+    plan.  The engine and each member-sharded worker encode through here.
+
+    Cache entries hold compact integer accumulators (they are
+    exact — the hypervector is a deterministic function of them),
+    so a hit skips even the delta work.
+
+    Every per-child step is hoisted to the iteration's concatenated
+    child block: quantisation, cache-key hashing (one ``tobytes``
+    sliced per row), the ragged delta scatter, and the final
+    accumulator → hypervector conversion each run **once** per
+    iteration, regardless of how many inputs are active.  Lookups
+    and insertions stay in each input's own LRU cache (the
+    :func:`repro.utils.cache.resolve_with_cache` pinning discipline,
+    spread across cache domains; duplicate inputs sharing a cache
+    also share the pinned working dict, preserving their cross-plan
+    dedupe).  With an ensemble target the accumulator rows carry a
+    leading member axis: each member delta-encodes every child from
+    *its own* parent accumulator, still one vectorised call per
+    member per iteration.
+    """
+    bounds = np.concatenate(
+        ([0], np.cumsum([len(children) for _, children, _ in plans]))
+    )
+    all_children = np.concatenate([children for _, children, _ in plans])
+    all_levels = surface.child_levels(all_children)
+
+    def fused_delta(positions_by_plan) -> np.ndarray:
+        """One ``accumulate_delta`` over every plan's listed rows."""
+        rows = [
+            bounds[p] + np.asarray(pos, dtype=np.int64)
+            for p, pos in enumerate(positions_by_plan)
+            if len(pos)
+        ]
+        global_rows = np.concatenate(rows)
+        count_encodes(len(global_rows))
+        parent_levels, parent_accs = [], []
+        for p, pos in enumerate(positions_by_plan):
+            if not len(pos):
+                continue
+            state, _, parent_ids = plans[p]
+            parents = parent_ids[np.asarray(pos, dtype=np.int64)]
+            parent_levels.append(pool.levels(state.index)[parents])
+            parent_accs.append(pool.accumulators(state.index)[parents])
+        return surface.accumulate_delta(
+            all_levels[global_rows],
+            np.concatenate(parent_levels),
+            np.concatenate(parent_accs),
+        )
+
+    if dedupe:
+        all_keys = _child_keys(all_children)
+        pinned: dict[int, dict[bytes, Any]] = {}  # shared per cache object
+        plan_ctx = []  # (keys, local) per plan
+        miss_by_plan: list[list[int]] = []
+        miss_slots: list[tuple[dict, Any, bytes]] = []
+        for p, (state, children, _) in enumerate(plans):
+            cache = caches.get(state.cache_key, capacity)
+            local = pinned.setdefault(id(cache), {})
+            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
+            misses: list[int] = []
+            for j, key in enumerate(keys):
+                if key not in local:
+                    local[key] = cache.get(key)
+                    if local[key] is None:
+                        misses.append(j)
+                        miss_slots.append((local, cache, key))
+            plan_ctx.append((keys, local))
+            miss_by_plan.append(misses)
+        if miss_slots:
+            fresh = fused_delta(miss_by_plan)
+            for row, (local, cache, key) in zip(fresh, miss_slots):
+                local[key] = row
+                cache.put(key, row)
+        if len(miss_slots) == len(all_keys):
+            # Every child missed and no key repeated, so ``fresh``
+            # already holds the rows in global order — skip the
+            # per-row re-assembly stack (the common case early in a
+            # campaign, when the caches are cold).
+            all_accs = fresh
+        else:
+            all_accs = np.stack(
+                [local[key] for keys, local in plan_ctx for key in keys]
+            )
+    else:
+        all_accs = fused_delta(
+            [range(len(children)) for _, children, _ in plans]
+        )
+    all_bundle = surface.hvs_from_accumulators(all_accs)
+    encoded = []
+    for p in range(len(plans)):
+        s, e = int(bounds[p]), int(bounds[p + 1])
+        encoded.append((
+            tuple(block[s:e] for block in all_bundle),
+            all_accs[s:e],
+            all_levels[s:e],
+        ))
+    return encoded
+
+
+def _direct_encode_plans(
+    plans, caches, capacity, *, encode_batch, n_blocks: int, dedupe: bool,
+    count_encodes,
+):
+    """Fallback path: one fused *encode_batch* for all cache misses.
+
+    *plans* are as for :func:`_delta_encode_plans`; *encode_batch*
+    maps a child block to a tuple of *n_blocks* hypervector blocks.
+    Returns one ``(bundle, None, None)`` per plan.
+
+    Misses from every plan are flattened into one stack so the whole
+    iteration still costs a single model call *per member*, while
+    lookups and insertions stay in each input's own cache (the same
+    pinning discipline as :func:`repro.utils.cache.resolve_with_cache`,
+    spread across cache domains).  Cache entries hold one row per
+    encode block, so mixed-width ensembles share the machinery and
+    shared-codebook ensembles cache a single row.
+    """
+    bounds = np.concatenate(
+        ([0], np.cumsum([len(children) for _, children, _ in plans]))
+    )
+    all_children = np.concatenate([children for _, children, _ in plans])
+    if not dedupe:
+        count_encodes(len(all_children))
+        stacked = encode_batch(all_children)
+    else:
+        all_keys = _child_keys(all_children)
+        resolved = []  # (keys, local) per plan
+        miss_rows: list[int] = []
+        slots: list[tuple[dict, Any, bytes]] = []  # (local, cache, key) per miss
+        for p, (state, children, _) in enumerate(plans):
+            cache = caches.get(state.cache_key, capacity)
+            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
+            local: dict[bytes, Optional[tuple]] = {}
+            for j, key in enumerate(keys):
+                if key not in local:
+                    local[key] = cache.get(key)
+                    if local[key] is None:
+                        miss_rows.append(int(bounds[p]) + j)
+                        slots.append((local, cache, key))
+            resolved.append((keys, local))
+        if miss_rows:
+            count_encodes(len(miss_rows))
+            fresh = encode_batch(all_children[np.asarray(miss_rows, dtype=np.int64)])
+            for j, (local, cache, key) in enumerate(slots):
+                row = tuple(block[j] for block in fresh)
+                local[key] = row
+                cache.put(key, row)
+        # One stack per encode block over every plan's rows, sliced
+        # back per plan — not one stack per plan.
+        rows = [local[key] for keys, local in resolved for key in keys]
+        stacked = tuple(
+            np.stack([row[m] for row in rows]) for m in range(n_blocks)
+        )
+    return [
+        (tuple(block[bounds[p] : bounds[p + 1]] for block in stacked), None, None)
+        for p in range(len(plans))
+    ]
+
+
 class HDTest:
     """Differential fuzz tester for HDC classifiers.
 
@@ -690,8 +872,12 @@ class HDTest:
                     surface, plans, pool, self._cache_pool, capacity
                 )
             else:
-                encoded = self._encode_plans_direct(
-                    plans, self._cache_pool, capacity
+                encoded = _direct_encode_plans(
+                    plans, self._cache_pool, capacity,
+                    encode_batch=self._target.encode_batch,
+                    n_blocks=self._target.n_encode_blocks,
+                    dedupe=self._config.dedupe,
+                    count_encodes=self._count_encodes,
                 )
         # One fused prediction per encode block over every input's
         # children — the K-model lock-step step (a shared-codebook
@@ -786,21 +972,6 @@ class HDTest:
         self._obs.count("encoded_children", n_children)
         self._obs.count("encodes", n_children * self._target.n_encode_blocks)
 
-    @staticmethod
-    def _child_keys(children: np.ndarray) -> list[bytes]:
-        """Dedupe-cache keys of a whole child block, hashed in one pass.
-
-        One ``tobytes`` over the contiguous block, sliced per row — each
-        key is the raw bytes of one child's internal form.
-        """
-        block = np.ascontiguousarray(children)
-        blob = block.tobytes()
-        row_nbytes = block[0].nbytes
-        return [
-            blob[j * row_nbytes : (j + 1) * row_nbytes]
-            for j in range(len(block))
-        ]
-
     def _delta_encoder(self):
         """The target's delta-capable encoder handle, or ``None``.
 
@@ -812,171 +983,11 @@ class HDTest:
         return self._target.delta_encoder(self._domain)
 
     def _encode_plans_delta(self, surface, plans, pool: SeedPoolBatch, caches, capacity):
-        """Incremental path: children encoded from parent accumulators.
-
-        Cache entries hold compact integer accumulators (they are
-        exact — the hypervector is a deterministic function of them),
-        so a hit skips even the delta work.
-
-        Every per-child step is hoisted to the iteration's concatenated
-        child block: quantisation, cache-key hashing (one ``tobytes``
-        sliced per row), the ragged delta scatter, and the final
-        accumulator → hypervector conversion each run **once** per
-        iteration, regardless of how many inputs are active.  Lookups
-        and insertions stay in each input's own LRU cache (the
-        :func:`repro.utils.cache.resolve_with_cache` pinning discipline,
-        spread across cache domains; duplicate inputs sharing a cache
-        also share the pinned working dict, preserving their cross-plan
-        dedupe).  With an ensemble target the accumulator rows carry a
-        leading member axis: each member delta-encodes every child from
-        *its own* parent accumulator, still one vectorised call per
-        member per iteration.
-        """
-        bounds = np.concatenate(
-            ([0], np.cumsum([len(children) for _, children, _ in plans]))
+        """:func:`_delta_encode_plans` with this engine's settings (a bench hook)."""
+        return _delta_encode_plans(
+            surface, plans, pool, caches, capacity,
+            dedupe=self._config.dedupe, count_encodes=self._count_encodes,
         )
-        all_children = np.concatenate([children for _, children, _ in plans])
-        all_levels = surface.child_levels(all_children)
-
-        def fused_delta(positions_by_plan) -> np.ndarray:
-            """One ``accumulate_delta`` over every plan's listed rows."""
-            rows = [
-                bounds[p] + np.asarray(pos, dtype=np.int64)
-                for p, pos in enumerate(positions_by_plan)
-                if len(pos)
-            ]
-            global_rows = np.concatenate(rows)
-            self._count_encodes(len(global_rows))
-            parent_levels, parent_accs = [], []
-            for p, pos in enumerate(positions_by_plan):
-                if not len(pos):
-                    continue
-                state, _, parent_ids = plans[p]
-                parents = parent_ids[np.asarray(pos, dtype=np.int64)]
-                parent_levels.append(pool.levels(state.index)[parents])
-                parent_accs.append(pool.accumulators(state.index)[parents])
-            return surface.accumulate_delta(
-                all_levels[global_rows],
-                np.concatenate(parent_levels),
-                np.concatenate(parent_accs),
-            )
-
-        if self._config.dedupe:
-            all_keys = self._child_keys(all_children)
-            pinned: dict[int, dict[bytes, Any]] = {}  # shared per cache object
-            plan_ctx = []  # (keys, local) per plan
-            miss_by_plan: list[list[int]] = []
-            miss_slots: list[tuple[dict, Any, bytes]] = []
-            for p, (state, children, _) in enumerate(plans):
-                cache = caches.get(state.cache_key, capacity)
-                local = pinned.setdefault(id(cache), {})
-                keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
-                misses: list[int] = []
-                for j, key in enumerate(keys):
-                    if key not in local:
-                        local[key] = cache.get(key)
-                        if local[key] is None:
-                            misses.append(j)
-                            miss_slots.append((local, cache, key))
-                plan_ctx.append((keys, local))
-                miss_by_plan.append(misses)
-            if miss_slots:
-                fresh = fused_delta(miss_by_plan)
-                for row, (local, cache, key) in zip(fresh, miss_slots):
-                    local[key] = row
-                    cache.put(key, row)
-            if len(miss_slots) == len(all_keys):
-                # Every child missed and no key repeated, so ``fresh``
-                # already holds the rows in global order — skip the
-                # per-row re-assembly stack (the common case early in a
-                # campaign, when the caches are cold).
-                all_accs = fresh
-            else:
-                all_accs = np.stack(
-                    [local[key] for keys, local in plan_ctx for key in keys]
-                )
-        else:
-            all_accs = fused_delta(
-                [range(len(children)) for _, children, _ in plans]
-            )
-        all_bundle = surface.hvs_from_accumulators(all_accs)
-        encoded = []
-        for p in range(len(plans)):
-            s, e = int(bounds[p]), int(bounds[p + 1])
-            encoded.append((
-                tuple(block[s:e] for block in all_bundle),
-                all_accs[s:e],
-                all_levels[s:e],
-            ))
-        return encoded
-
-    def _encode_plans_direct(self, plans, caches, capacity):
-        """Fallback path: one fused ``encode_batch`` for all cache misses.
-
-        Misses from every plan are flattened into one stack so the whole
-        iteration still costs a single model call *per member*, while
-        lookups and insertions stay in each input's own cache (the same
-        pinning discipline as :func:`repro.utils.cache.resolve_with_cache`,
-        spread across cache domains).  Cache entries hold one row per
-        encode block, so mixed-width ensembles share the machinery and
-        shared-codebook ensembles cache a single row.
-        """
-        k = self._target.n_encode_blocks
-        bounds = np.concatenate(
-            ([0], np.cumsum([len(children) for _, children, _ in plans]))
-        )
-        all_children = np.concatenate([children for _, children, _ in plans])
-        if not self._config.dedupe:
-            self._count_encodes(len(all_children))
-            all_bundle = self._target.encode_batch(all_children)
-            return [
-                (
-                    tuple(
-                        block[int(bounds[p]) : int(bounds[p + 1])]
-                        for block in all_bundle
-                    ),
-                    None, None,
-                )
-                for p in range(len(plans))
-            ]
-        all_keys = self._child_keys(all_children)
-        resolved = []  # (keys, local) per plan
-        miss_rows: list[int] = []
-        slots: list[tuple[dict, Any, bytes]] = []  # (local, cache, key) per miss
-        for p, (state, children, _) in enumerate(plans):
-            cache = caches.get(state.cache_key, capacity)
-            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
-            local: dict[bytes, Optional[tuple]] = {}
-            for j, key in enumerate(keys):
-                if key not in local:
-                    local[key] = cache.get(key)
-                    if local[key] is None:
-                        miss_rows.append(int(bounds[p]) + j)
-                        slots.append((local, cache, key))
-            resolved.append((keys, local))
-        if miss_rows:
-            self._count_encodes(len(miss_rows))
-            fresh = self._target.encode_batch(
-                all_children[np.asarray(miss_rows, dtype=np.int64)]
-            )
-            for j, (local, cache, key) in enumerate(slots):
-                row = tuple(block[j] for block in fresh)
-                local[key] = row
-                cache.put(key, row)
-        # One stack per encode block over every plan's rows, sliced back
-        # per plan — not one stack per plan.
-        rows = [local[key] for keys, local in resolved for key in keys]
-        stacked = tuple(np.stack([row[m] for row in rows]) for m in range(k))
-        return [
-            (
-                tuple(
-                    block[int(bounds[p]) : int(bounds[p + 1])]
-                    for block in stacked
-                ),
-                None, None,
-            )
-            for p in range(len(plans))
-        ]
 
     # -- reporting ---------------------------------------------------------
     def _pick_success(

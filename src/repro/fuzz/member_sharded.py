@@ -26,9 +26,10 @@ Two execution modes, chosen by the target's shape:
   same lock-step loop, overriding only its reference pass, its
   per-iteration evaluation and its survivor commit: it broadcasts raw
   child blocks; each worker delta- or scratch-encodes them through
-  its own member's codebook (with its own per-input dedupe caches and
-  per-member survivor side arrays, replaying the parent's survivor
-  order) and replies with its label/similarity rows.  Stacking the rows
+  its own member's codebook — with the engine's fused encode functions,
+  its own per-input dedupe caches and per-member survivor side arrays,
+  replaying the parent's survivor order — and replies with its
+  label/similarity rows.  Stacking the rows
   in member order reproduces the lock-step
   :class:`~repro.fuzz.targets.TargetPredictions` exactly, so the
   parent-side oracle / fitness / survival decisions — and therefore
@@ -48,13 +49,18 @@ import multiprocessing as mp
 import queue as queue_module
 import time
 import traceback
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz.batch import BatchedHDTest
-from repro.fuzz.fuzzer import _cache_share, _CachePool
+from repro.fuzz.fuzzer import (
+    _cache_share,
+    _CachePool,
+    _delta_encode_plans,
+    _direct_encode_plans,
+)
 from repro.fuzz.seeds import SeedPoolBatch
 from repro.fuzz.targets import (
     MemberShard,
@@ -62,7 +68,6 @@ from repro.fuzz.targets import (
     TargetPredictions,
     _SingleDeltaSurface,
 )
-from repro.utils.cache import resolve_with_cache
 from repro.utils.shm import (
     ShmArena,
     ShmRef,
@@ -117,6 +122,13 @@ class _MemberSidePool:
         self._counts[i] = k
 
 
+class _WorkerPlan(NamedTuple):
+    """The input a worker-side plan belongs to (the engine's plan state)."""
+
+    index: int
+    cache_key: bytes
+
+
 class _WorkerRun:
     """One fuzz_outcomes call's worth of state inside a member worker."""
 
@@ -152,59 +164,48 @@ class _WorkerRun:
         self.seed_reply = (labels, sims, n, encode_s, time.perf_counter() - t0)
 
     def predict(self, children, metas, with_sims) -> tuple:
-        """Encode + query one iteration's child block → the reply tail."""
-        self.staged.clear()
+        """Encode + query one iteration's child block → the reply tail.
+
+        The block is encoded through the in-process engine's fused
+        encode paths, with this member's surface, side arrays and
+        caches standing in for the engine's.
+        """
         self.n_encoded = 0
         t0 = time.perf_counter()
-        blocks = []
+        plans = []
         offset = 0
         for index, parent_ids, count in metas:
-            chunk = children[offset : offset + count]
+            plans.append((
+                _WorkerPlan(index, self.cache_keys[index]),
+                children[offset : offset + count],
+                np.asarray(parent_ids),
+            ))
             offset += count
-            if self.surface is not None:
-                blocks.append(self._encode_delta(index, chunk, np.asarray(parent_ids)))
-            else:
-                blocks.append(self._encode_scratch(index, chunk))
-        hvs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+        if self.surface is not None:
+            encoded = _delta_encode_plans(
+                self.surface, plans, self.side, self.caches, self.capacity,
+                dedupe=self.config.dedupe, count_encodes=self._count_encodes,
+            )
+            # Survivor commits replay the parent's orders against these.
+            self.staged = {
+                state.index: (accs, levels)
+                for (state, _, _), (_, accs, levels) in zip(plans, encoded)
+            }
+        else:
+            encoded = _direct_encode_plans(
+                plans, self.caches, self.capacity,
+                encode_batch=lambda block: (self.shard.encode_block(block),),
+                n_blocks=1, dedupe=self.config.dedupe,
+                count_encodes=self._count_encodes,
+            )
+        hvs = np.concatenate([bundle[0] for bundle, _, _ in encoded], axis=0)
         encode_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         labels, sims = self.shard.predict_block(hvs, with_similarities=with_sims)
         return (labels, sims, self.n_encoded, encode_s, time.perf_counter() - t0)
 
-    def _encode_delta(self, index, chunk, parent_ids) -> np.ndarray:
-        levels = self.surface.child_levels(chunk)
-        parent_accs_all = self.side.accumulators(index)
-        parent_levels_all = self.side.levels(index)
-
-        def delta_missing(positions: list) -> np.ndarray:
-            self.n_encoded += len(positions)
-            sel = parent_ids[positions]
-            return self.surface.accumulate_delta(
-                levels[positions], parent_levels_all[sel], parent_accs_all[sel]
-            )
-
-        if self.config.dedupe:
-            keys = [chunk[j].tobytes() for j in range(len(chunk))]
-            cache = self.caches.get(self.cache_keys[index], self.capacity)
-            accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
-        else:
-            accs = delta_missing(list(range(len(chunk))))
-        self.staged[index] = (accs, levels)
-        return self.surface.hvs_from_accumulators(accs)[0]
-
-    def _encode_scratch(self, index, chunk) -> np.ndarray:
-        if not self.config.dedupe:
-            self.n_encoded += len(chunk)
-            return self.shard.encode_block(np.array(chunk))
-
-        def encode_missing(positions: list):
-            self.n_encoded += len(positions)
-            block = self.shard.encode_block(np.stack([chunk[p] for p in positions]))
-            return [block[j] for j in range(len(positions))]
-
-        keys = [chunk[j].tobytes() for j in range(len(chunk))]
-        cache = self.caches.get(self.cache_keys[index], self.capacity)
-        return np.stack(resolve_with_cache(cache, keys, encode_missing))
+    def _count_encodes(self, n_children: int) -> None:
+        self.n_encoded += n_children
 
     def commit(self, orders) -> None:
         if self.side is None:
