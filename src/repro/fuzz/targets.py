@@ -521,8 +521,8 @@ class ModelEnsembleTarget(PredictionTarget):
         models".  With *include_base* the given model is member 0 and
         ``k − 1`` fresh members join it; otherwise all *k* are fresh.
         *backends* optionally re-targets each member
-        (``None``/``"dense"``/``"packed"``/``"packed-bipolar"``/
-        ``"torch"``) for mixed-family ensembles.
+        (``None``/``"dense"``/``"packed"``/``"packed-bipolar"``) for
+        mixed-family ensembles.
         """
         from repro.hdc.backends.dispatch import resolve_model_backend
 
@@ -638,9 +638,9 @@ def _fresh_member_like(model: Any) -> Any:
     n_classes = int(n_classes)
     # Packed subclasses first — isinstance also matches their parents.
     if isinstance(model, PackedBipolarHDCClassifier):
-        return PackedBipolarHDCClassifier(encoder, n_classes, backend=model.backend)
+        return PackedBipolarHDCClassifier(encoder, n_classes)
     if isinstance(model, PackedBinaryHDCClassifier):
-        return PackedBinaryHDCClassifier(encoder, n_classes, backend=model.backend)
+        return PackedBinaryHDCClassifier(encoder, n_classes)
     if isinstance(model, BinaryHDCClassifier):
         return BinaryHDCClassifier(encoder, n_classes)
     if isinstance(model, HDCClassifier):
@@ -912,15 +912,15 @@ def clone_architecture(model: Any, *, rng: RngLike = None) -> Any:
     if isinstance(encoder, PackedBipolarEncoder):
         fresh = PackedBipolarEncoder(
             encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator, backend=encoder.backend,
+            rng=generator,
         )
-        return PackedBipolarHDCClassifier(fresh, n_classes, backend=model.backend)
+        return PackedBipolarHDCClassifier(fresh, n_classes)
     if isinstance(encoder, PackedPixelEncoder):
         fresh = PackedPixelEncoder(
             encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator, backend=encoder.backend,
+            rng=generator,
         )
-        return PackedBinaryHDCClassifier(fresh, n_classes, backend=model.backend)
+        return PackedBinaryHDCClassifier(fresh, n_classes)
     if isinstance(encoder, BinaryPixelEncoder):
         fresh = BinaryPixelEncoder(
             encoder.shape, levels=encoder.levels, dimension=encoder.dimension,

@@ -2,8 +2,8 @@
 
 Bit-packed counterparts of :mod:`repro.hdc.binary_model`, storing
 hypervectors as uint64 words (64 components per word, 8× less memory)
-and querying with XOR + popcount kernels routed through a
-:class:`~repro.hdc.backends.dispatch.KernelBackend`.
+and querying with the XOR + popcount kernels of
+:mod:`repro.hdc.backends.packed`.
 
 Packing is pure representation, and the code is structured so the
 bit-identity is *structural*, not coincidental:
@@ -31,16 +31,16 @@ accumulators, exactly as it does for the bipolar pixel encoder.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
-from repro.hdc.backends.dispatch import KernelBackend, get_backend
 from repro.hdc.backends.packed import (
     bit_sliced_counts,
     check_packed,
     gathered_xor_counts,
+    hamming_counts,
     pack_bits,
     packed_words,
     unpack_bits,
@@ -62,8 +62,6 @@ __all__ = [
     "PackedAssociativeMemory",
     "PackedBinaryHDCClassifier",
 ]
-
-BackendLike = Union[None, str, KernelBackend]
 
 
 class PackedBinarySpace(Space):
@@ -137,7 +135,6 @@ class PackedPixelEncoder(BinaryPixelEncoder):
         levels: int = 256,
         dimension: int = DEFAULT_DIMENSION,
         rng: RngLike = None,
-        backend: BackendLike = None,
         position_memory=None,
         value_memory=None,
         codebook: str = "materialized",
@@ -152,12 +149,9 @@ class PackedPixelEncoder(BinaryPixelEncoder):
             codebook=codebook,
         )
         self._packed_space = PackedBinarySpace(dimension)
-        self._backend = get_backend(backend)
 
     @classmethod
-    def from_binary(
-        cls, encoder, *, backend: BackendLike = None
-    ) -> "PackedPixelEncoder":
+    def from_binary(cls, encoder) -> "PackedPixelEncoder":
         """Wrap a trained ``BinaryPixelEncoder``'s codebooks (exact)."""
         for attr in ("shape", "position_memory", "value_memory", "dimension"):
             if not hasattr(encoder, attr):
@@ -173,7 +167,6 @@ class PackedPixelEncoder(BinaryPixelEncoder):
         packed._value_memory = encoder.value_memory
         packed._majority_threshold = (packed._shape[0] * packed._shape[1]) / 2.0
         packed._packed_space = PackedBinarySpace(encoder.dimension)
-        packed._backend = get_backend(backend)
         return packed
 
     # -- introspection ---------------------------------------------------
@@ -181,11 +174,6 @@ class PackedPixelEncoder(BinaryPixelEncoder):
     def n_words(self) -> int:
         """uint64 words per emitted hypervector."""
         return self._packed_space.n_words
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend packed outputs are produced with."""
-        return self._backend
 
     # -- the packed training path ------------------------------------------
     def _packed_codebooks(self) -> tuple:
@@ -231,7 +219,7 @@ class PackedPixelEncoder(BinaryPixelEncoder):
         on every child block.
         """
         bits = super().hvs_from_accumulators(accumulators)
-        return self._backend.pack(bits, validate=False)
+        return pack_bits(bits, validate=False)
 
     def unpack(self, hvs: np.ndarray) -> np.ndarray:
         """Unpack emitted HVs back to int8 {0, 1} components."""
@@ -240,7 +228,7 @@ class PackedPixelEncoder(BinaryPixelEncoder):
     def __repr__(self) -> str:
         return (
             f"PackedPixelEncoder(shape={self.shape}, levels={self.levels}, "
-            f"dimension={self.dimension}, backend={self._backend.name!r})"
+            f"dimension={self.dimension})"
         )
 
 
@@ -250,29 +238,24 @@ class PackedAssociativeMemory:
     Holds the same integer ones counters as
     :class:`~repro.hdc.binary_model.BinaryAssociativeMemory` (so
     training and retraining semantics match exactly) but quantises its
-    class HVs into packed words and answers similarity queries with the
-    kernel backend's XOR + popcount — the ≥3× query-throughput path the
+    class HVs into packed words and answers similarity queries with
+    XOR + popcount — the ≥3× query-throughput path the
     packed benchmark measures.  All query results are bit-identical to
     the unpacked memory's.
     """
 
-    def __init__(
-        self, n_classes: int, dimension: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, n_classes: int, dimension: int) -> None:
         self._n_classes = check_positive_int(n_classes, "n_classes")
         self._dimension = check_positive_int(dimension, "dimension")
-        self._backend = get_backend(backend)
         # ones[c, d] counts 1-bits added to class c at component d.
         self._ones = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
         self._counts = np.zeros(self._n_classes, dtype=np.int64)
         self._cache: Optional[np.ndarray] = None
 
     @classmethod
-    def from_binary(
-        cls, am, *, backend: BackendLike = None
-    ) -> "PackedAssociativeMemory":
+    def from_binary(cls, am) -> "PackedAssociativeMemory":
         """Adopt an unpacked binary AM's counters (exact conversion)."""
-        return cls.from_state_dict(am.state_dict(), backend=backend)
+        return cls.from_state_dict(am.state_dict())
 
     def to_binary(self) -> BinaryAssociativeMemory:
         """The equivalent unpacked :class:`BinaryAssociativeMemory`."""
@@ -291,11 +274,6 @@ class PackedAssociativeMemory:
     def n_words(self) -> int:
         """uint64 words per class hypervector."""
         return packed_words(self._dimension)
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend answering similarity queries."""
-        return self._backend
 
     @property
     def bipolar(self) -> bool:
@@ -357,7 +335,7 @@ class PackedAssociativeMemory:
         """Majority-quantised class HVs, packed ``(C, n_words)`` (ties → 1)."""
         if self._cache is None:
             threshold = np.maximum(self._counts, 1)[:, None] / 2.0
-            self._cache = self._backend.pack(
+            self._cache = pack_bits(
                 (self._ones >= threshold).astype(np.int8), validate=False
             )
         return self._cache
@@ -365,7 +343,7 @@ class PackedAssociativeMemory:
     @property
     def class_hvs_bits(self) -> np.ndarray:
         """Unpacked int8 {0, 1} view of :attr:`class_hvs` (diagnostics)."""
-        return self._backend.unpack(self.class_hvs, self._dimension)
+        return unpack_bits(self.class_hvs, self._dimension)
 
     def reference_hv(self, label: int) -> np.ndarray:
         if not 0 <= label < self._n_classes:
@@ -384,7 +362,7 @@ class PackedAssociativeMemory:
         if arr.ndim == 1:
             arr = arr[None, :]
         arr = check_packed(arr, self._dimension, name="queries")
-        diff = self._backend.hamming_counts(arr, self.class_hvs)
+        diff = hamming_counts(arr, self.class_hvs)
         return 1.0 - diff / float(self._dimension)
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
@@ -407,26 +385,21 @@ class PackedAssociativeMemory:
         return {"ones": self._ones.copy(), "counts": self._counts.copy()}
 
     @classmethod
-    def from_state_dict(
-        cls, state: dict[str, np.ndarray], *, backend: BackendLike = None
-    ) -> "PackedAssociativeMemory":
+    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "PackedAssociativeMemory":
         """Inverse of :meth:`state_dict`."""
         ones = np.asarray(state["ones"], dtype=np.int64)
-        am = cls(ones.shape[0], ones.shape[1], backend=backend)
+        am = cls(ones.shape[0], ones.shape[1])
         am._ones = ones
         am._counts = np.asarray(state["counts"], dtype=np.int64)
         return am
 
     def copy(self) -> "PackedAssociativeMemory":
-        return PackedAssociativeMemory.from_state_dict(
-            self.state_dict(), backend=self._backend
-        )
+        return PackedAssociativeMemory.from_state_dict(self.state_dict())
 
     def __repr__(self) -> str:
         return (
             f"PackedAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, backend={self._backend.name!r}, "
-            f"trained={self.is_trained})"
+            f"dimension={self._dimension}, trained={self.is_trained})"
         )
 
 
@@ -447,25 +420,17 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
     #: (their uint64 default — see :mod:`repro.fuzz.fitness`).
     packed_alphabet = "binary"
 
-    def __init__(
-        self, encoder: Encoder, n_classes: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, encoder: Encoder, n_classes: int) -> None:
         super().__init__(encoder, n_classes)
-        self._am = PackedAssociativeMemory(
-            n_classes, encoder.dimension, backend=backend
-        )
+        self._am = PackedAssociativeMemory(n_classes, encoder.dimension)
 
     @classmethod
-    def from_binary(
-        cls, model, *, backend: BackendLike = None
-    ) -> "PackedBinaryHDCClassifier":
+    def from_binary(cls, model) -> "PackedBinaryHDCClassifier":
         """Repackage a trained ``BinaryHDCClassifier`` (exact, shares codebooks)."""
         packed = cls.__new__(cls)
-        packed._encoder = PackedPixelEncoder.from_binary(model.encoder, backend=backend)
+        packed._encoder = PackedPixelEncoder.from_binary(model.encoder)
         packed._n_classes = model.n_classes
-        packed._am = PackedAssociativeMemory.from_binary(
-            model.associative_memory, backend=backend
-        )
+        packed._am = PackedAssociativeMemory.from_binary(model.associative_memory)
         return packed
 
     def to_binary(self) -> BinaryHDCClassifier:
@@ -485,22 +450,6 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
         binary._am = self._am.to_binary()
         return binary
 
-    def with_backend(self, backend: BackendLike) -> "PackedBinaryHDCClassifier":
-        """Clone bound to different kernels (shared codebooks and counters)."""
-        kernels = get_backend(backend)
-        clone = PackedBinaryHDCClassifier.__new__(PackedBinaryHDCClassifier)
-        if isinstance(self._encoder, BinaryPixelEncoder):
-            clone._encoder = PackedPixelEncoder.from_binary(
-                self._encoder, backend=kernels
-            )
-        else:
-            clone._encoder = self._encoder
-        clone._n_classes = self._n_classes
-        clone._am = PackedAssociativeMemory.from_state_dict(
-            self._am.state_dict(), backend=kernels
-        )
-        return clone
-
     def copy(self) -> "PackedBinaryHDCClassifier":
         """Clone sharing the encoder but with an independent AM."""
         clone = PackedBinaryHDCClassifier.__new__(PackedBinaryHDCClassifier)
@@ -513,14 +462,8 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
     def associative_memory(self) -> PackedAssociativeMemory:
         return self._am
 
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend of the associative memory."""
-        return self._am.backend
-
     def __repr__(self) -> str:
         return (
             f"PackedBinaryHDCClassifier(encoder={self._encoder!r}, "
-            f"n_classes={self._n_classes}, backend={self.backend.name!r}, "
-            f"trained={self.is_trained})"
+            f"n_classes={self._n_classes}, trained={self.is_trained})"
         )

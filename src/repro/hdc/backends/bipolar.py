@@ -40,19 +40,19 @@ train/predict/save/load/retrain/copy surface against the dense family.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
 from repro.hdc.associative_memory import AssociativeMemory
-from repro.hdc.backends.dispatch import KernelBackend, get_backend
 from repro.hdc.backends.packed import (
     bipolar_cosine_from_counts,
     bit_sliced_counts,
     check_packed,
     gather_words,
-    gathered_xor_counts,
+    hamming_counts,
+    pack_bits,
     pack_signs,
     packed_words,
     unpack_signs,
@@ -71,8 +71,6 @@ __all__ = [
     "PackedBipolarAssociativeMemory",
     "PackedBipolarHDCClassifier",
 ]
-
-BackendLike = Union[None, str, KernelBackend]
 
 
 class PackedBipolarSpace(Space):
@@ -139,9 +137,9 @@ class PackedBipolarEncoder(PixelEncoder):
       *packed sign codebooks*: ``Σ_p pos_p ⊛ val_{x_p} = k − 2·c``
       where ``c`` are the per-component −1 counts of the XORed sign
       rows, summed word-level by
-      :func:`~repro.hdc.backends.packed.bit_sliced_counts` (with the
-      parent's sparse-background decomposition on mostly-dark images) —
-      the packed *training* path;
+      :func:`~repro.hdc.backends.packed.bit_sliced_counts` through the
+      parent's sparse-background decomposition — the packed *training*
+      path;
     * :meth:`hvs_from_accumulators` applies the parent's Eq. 1 sign
       threshold (0 → +1) and packs the sign bits.
     """
@@ -155,8 +153,6 @@ class PackedBipolarEncoder(PixelEncoder):
         value_memory: Optional[ItemMemory] = None,
         position_memory: Optional[ItemMemory] = None,
         rng: RngLike = None,
-        sparse_background: bool = True,
-        backend: BackendLike = None,
         codebook: str = "materialized",
     ) -> None:
         super().__init__(
@@ -166,16 +162,12 @@ class PackedBipolarEncoder(PixelEncoder):
             value_memory=value_memory,
             position_memory=position_memory,
             rng=rng,
-            sparse_background=sparse_background,
             codebook=codebook,
         )
         self._packed_space = PackedBipolarSpace(dimension)
-        self._backend = get_backend(backend)
 
     @classmethod
-    def from_dense(
-        cls, encoder, *, backend: BackendLike = None
-    ) -> "PackedBipolarEncoder":
+    def from_dense(cls, encoder) -> "PackedBipolarEncoder":
         """Wrap a trained ``PixelEncoder``'s codebooks (exact, shared)."""
         for attr in ("shape", "position_memory", "value_memory", "dimension"):
             if not hasattr(encoder, attr):
@@ -194,7 +186,6 @@ class PackedBipolarEncoder(PixelEncoder):
             axis=0, dtype=np.int64
         )
         packed._packed_space = PackedBipolarSpace(encoder.dimension)
-        packed._backend = get_backend(backend)
         return packed
 
     # -- introspection ---------------------------------------------------
@@ -202,11 +193,6 @@ class PackedBipolarEncoder(PixelEncoder):
     def n_words(self) -> int:
         """uint64 words per emitted hypervector."""
         return self._packed_space.n_words
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend packed outputs are produced with."""
-        return self._backend
 
     # -- the packed training path ------------------------------------------
     def _sign_codebooks(self) -> tuple:
@@ -237,17 +223,7 @@ class PackedBipolarEncoder(PixelEncoder):
         integer sums of ±1 products); only the arithmetic is packed.
         """
         levels = self.quantize(items)
-        flat = levels.reshape(levels.shape[0], -1)
-        if self._sparse_background:
-            return self._accumulate_sparse_packed(flat)
-        return self._accumulate_full_packed(flat)
-
-    def _accumulate_full_packed(self, flat_levels: np.ndarray) -> np.ndarray:
-        pos_s, val_s = self._sign_codebooks()
-        n_pixels = flat_levels.shape[1]
-        counts = gathered_xor_counts(pos_s, val_s, flat_levels, self.dimension)
-        # Σ ±1 products = n_pixels − 2 · (count of −1 sign bits).
-        return n_pixels - 2 * counts
+        return self._accumulate_sparse_packed(levels.reshape(levels.shape[0], -1))
 
     def _accumulate_sparse_packed(self, flat_levels: np.ndarray) -> np.ndarray:
         """The parent's sparse-background rewrite, on sign words.
@@ -330,7 +306,7 @@ class PackedBipolarEncoder(PixelEncoder):
         ``acc < 0`` *is* the sign bit under the packing convention, so
         no dense ±1 intermediate is materialised.
         """
-        return self._backend.pack(np.asarray(accumulators) < 0, validate=False)
+        return pack_bits(np.asarray(accumulators) < 0, validate=False)
 
     def unpack(self, hvs: np.ndarray) -> np.ndarray:
         """Unpack emitted HVs back to int8 {-1, +1} components."""
@@ -339,7 +315,7 @@ class PackedBipolarEncoder(PixelEncoder):
     def __repr__(self) -> str:
         return (
             f"PackedBipolarEncoder(shape={self.shape}, levels={self.levels}, "
-            f"dimension={self.dimension}, backend={self._backend.name!r})"
+            f"dimension={self.dimension})"
         )
 
 
@@ -359,22 +335,17 @@ class PackedBipolarAssociativeMemory:
     form.
     """
 
-    def __init__(
-        self, n_classes: int, dimension: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, n_classes: int, dimension: int) -> None:
         self._n_classes = check_positive_int(n_classes, "n_classes")
         self._dimension = check_positive_int(dimension, "dimension")
-        self._backend = get_backend(backend)
         self._accumulators = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
         self._counts = np.zeros(self._n_classes, dtype=np.int64)
         self._cache: Optional[np.ndarray] = None
 
     @classmethod
-    def from_dense(
-        cls, am, *, backend: BackendLike = None
-    ) -> "PackedBipolarAssociativeMemory":
+    def from_dense(cls, am) -> "PackedBipolarAssociativeMemory":
         """Adopt a dense bipolar AM's accumulators (exact conversion)."""
-        return cls.from_state_dict(am.state_dict(), backend=backend)
+        return cls.from_state_dict(am.state_dict())
 
     def to_dense(self) -> AssociativeMemory:
         """The equivalent dense :class:`AssociativeMemory`."""
@@ -393,11 +364,6 @@ class PackedBipolarAssociativeMemory:
     def n_words(self) -> int:
         """uint64 words per class hypervector."""
         return packed_words(self._dimension)
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend answering similarity queries."""
-        return self._backend
 
     @property
     def bipolar(self) -> bool:
@@ -467,7 +433,7 @@ class PackedBipolarAssociativeMemory:
         """Bipolarised class HVs, packed ``(C, n_words)`` (Eq. 1, 0 → +1)."""
         if self._cache is None:
             # acc < 0 is exactly the sign bit of np.where(acc >= 0, 1, -1).
-            self._cache = self._backend.pack(self._accumulators < 0, validate=False)
+            self._cache = pack_bits(self._accumulators < 0, validate=False)
         return self._cache
 
     @property
@@ -494,7 +460,7 @@ class PackedBipolarAssociativeMemory:
         if arr.ndim == 1:
             arr = arr[None, :]
         arr = check_packed(arr, self._dimension, name="queries")
-        diff = self._backend.hamming_counts(arr, self.class_hvs)
+        diff = hamming_counts(arr, self.class_hvs)
         return bipolar_cosine_from_counts(diff, self._dimension)
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
@@ -522,7 +488,7 @@ class PackedBipolarAssociativeMemory:
 
     @classmethod
     def from_state_dict(
-        cls, state: dict[str, np.ndarray], *, backend: BackendLike = None
+        cls, state: dict[str, np.ndarray]
     ) -> "PackedBipolarAssociativeMemory":
         """Inverse of :meth:`state_dict` (rejects ``bipolar=False`` states)."""
         if not bool(np.asarray(state.get("bipolar", True))):
@@ -533,21 +499,18 @@ class PackedBipolarAssociativeMemory:
         acc = np.asarray(state["accumulators"], dtype=np.int64)
         if acc.ndim != 2:
             raise ConfigurationError(f"accumulators must be 2-D, got shape {acc.shape}")
-        am = cls(acc.shape[0], acc.shape[1], backend=backend)
+        am = cls(acc.shape[0], acc.shape[1])
         am._accumulators = acc
         am._counts = np.asarray(state["counts"], dtype=np.int64)
         return am
 
     def copy(self) -> "PackedBipolarAssociativeMemory":
-        return PackedBipolarAssociativeMemory.from_state_dict(
-            self.state_dict(), backend=self._backend
-        )
+        return PackedBipolarAssociativeMemory.from_state_dict(self.state_dict())
 
     def __repr__(self) -> str:
         return (
             f"PackedBipolarAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, backend={self._backend.name!r}, "
-            f"trained={self.is_trained})"
+            f"dimension={self._dimension}, trained={self.is_trained})"
         )
 
 
@@ -569,18 +532,12 @@ class PackedBipolarHDCClassifier(HDCClassifier):
     #: (:func:`repro.fuzz.fitness.packed_bipolar_dimension`).
     packed_alphabet = "bipolar"
 
-    def __init__(
-        self, encoder: Encoder, n_classes: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, encoder: Encoder, n_classes: int) -> None:
         super().__init__(encoder, n_classes, bipolar_am=True)
-        self._am = PackedBipolarAssociativeMemory(
-            n_classes, encoder.dimension, backend=backend
-        )
+        self._am = PackedBipolarAssociativeMemory(n_classes, encoder.dimension)
 
     @classmethod
-    def from_dense(
-        cls, model, *, backend: BackendLike = None
-    ) -> "PackedBipolarHDCClassifier":
+    def from_dense(cls, model) -> "PackedBipolarHDCClassifier":
         """Repackage a trained ``HDCClassifier`` (exact, shares codebooks).
 
         Requires the paper's configuration: a
@@ -594,9 +551,9 @@ class PackedBipolarHDCClassifier(HDCClassifier):
                 "packed form; run it dense"
             )
         packed = cls.__new__(cls)
-        packed._encoder = PackedBipolarEncoder.from_dense(model.encoder, backend=backend)
+        packed._encoder = PackedBipolarEncoder.from_dense(model.encoder)
         packed._n_classes = model.n_classes
-        packed._am = PackedBipolarAssociativeMemory.from_dense(am, backend=backend)
+        packed._am = PackedBipolarAssociativeMemory.from_dense(am)
         return packed
 
     def to_dense(self) -> HDCClassifier:
@@ -617,22 +574,6 @@ class PackedBipolarHDCClassifier(HDCClassifier):
         dense._am = self._am.to_dense()
         return dense
 
-    def with_backend(self, backend: BackendLike) -> "PackedBipolarHDCClassifier":
-        """Clone bound to different kernels (shared codebooks and sums)."""
-        kernels = get_backend(backend)
-        clone = PackedBipolarHDCClassifier.__new__(PackedBipolarHDCClassifier)
-        if isinstance(self._encoder, PixelEncoder):
-            clone._encoder = PackedBipolarEncoder.from_dense(
-                self._encoder, backend=kernels
-            )
-        else:
-            clone._encoder = self._encoder
-        clone._n_classes = self._n_classes
-        clone._am = PackedBipolarAssociativeMemory.from_state_dict(
-            self._am.state_dict(), backend=kernels
-        )
-        return clone
-
     def copy(self) -> "PackedBipolarHDCClassifier":
         """Clone sharing the encoder but with an independent AM."""
         clone = PackedBipolarHDCClassifier.__new__(PackedBipolarHDCClassifier)
@@ -645,14 +586,8 @@ class PackedBipolarHDCClassifier(HDCClassifier):
     def associative_memory(self) -> PackedBipolarAssociativeMemory:
         return self._am
 
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend of the associative memory."""
-        return self._am.backend
-
     def __repr__(self) -> str:
         return (
             f"PackedBipolarHDCClassifier(encoder={self._encoder!r}, "
-            f"n_classes={self._n_classes}, backend={self.backend.name!r}, "
-            f"trained={self.is_trained})"
+            f"n_classes={self._n_classes}, trained={self.is_trained})"
         )

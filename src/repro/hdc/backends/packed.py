@@ -642,8 +642,8 @@ def bipolar_cosine_from_counts(diff: np.ndarray, dimension: int) -> np.ndarray:
     """Bipolar cosine from differing-bit counts: ``(D − 2·diff) / (√D·√D)``.
 
     The float tail of :func:`cosine_matrix_packed_bipolar`, shared with
-    the packed bipolar associative memory (which produces *diff* through
-    its kernel backend).  The operation order — exact integer dot cast
+    the packed bipolar associative memory (which produces *diff* with
+    :func:`hamming_counts`).  The operation order — exact integer dot cast
     to float64, divided by the float64 product of two ``sqrt(D)`` norms
     — is what makes both bit-identical to the dense
     :func:`~repro.hdc.similarity.cosine_matrix`; keep any edit to it in

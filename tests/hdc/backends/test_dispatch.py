@@ -1,4 +1,4 @@
-"""Tests for kernel-backend selection and campaign-level model dispatch."""
+"""Tests for campaign-level model-backend dispatch."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,8 @@ from repro.hdc import (
     PackedBinaryHDCClassifier,
     PackedBipolarHDCClassifier,
     PixelEncoder,
-    backend_names,
-    get_backend,
     resolve_model_backend,
 )
-from repro.hdc.backends.dispatch import NumpyKernelBackend
-from repro.hdc.backends.torch_backend import TorchKernelBackend
 
 SHAPE = (6, 6)
 
@@ -28,41 +24,6 @@ def _binary_model():
         BinaryPixelEncoder(shape=SHAPE, levels=8, dimension=256, rng=1), 3
     )
     return model.fit(images, np.arange(6) % 3), images
-
-
-class TestGetBackend:
-    def test_names(self):
-        assert backend_names() == ["numpy", "torch"]
-
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert isinstance(get_backend(), NumpyKernelBackend)
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert isinstance(get_backend(), NumpyKernelBackend)
-
-    def test_instance_passthrough(self):
-        backend = NumpyKernelBackend()
-        assert get_backend(backend) is backend
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            get_backend("tpu")
-
-    def test_torch_degrades_to_numpy_when_missing(self):
-        if TorchKernelBackend.available():  # pragma: no cover - torch machines
-            assert get_backend("torch").name == "torch"
-            return
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = get_backend("torch")
-        assert isinstance(backend, NumpyKernelBackend)
-
-    def test_torch_constructor_raises_when_missing(self):
-        if TorchKernelBackend.available():  # pragma: no cover - torch machines
-            pytest.skip("torch installed")
-        with pytest.raises(ConfigurationError, match="torch is not installed"):
-            TorchKernelBackend()
 
 
 class TestResolveModelBackend:
@@ -77,12 +38,10 @@ class TestResolveModelBackend:
         assert isinstance(packed, PackedBinaryHDCClassifier)
         np.testing.assert_array_equal(packed.predict(images), model.predict(images))
 
-    def test_packed_model_rebinds(self):
+    def test_packed_model_passes_through(self):
         model, _ = _binary_model()
         packed = resolve_model_backend(model, "packed")
-        again = resolve_model_backend(packed, "packed")
-        assert isinstance(again, PackedBinaryHDCClassifier)
-        assert again.backend.name == "numpy"
+        assert resolve_model_backend(packed, "packed") is packed
 
     def test_bipolar_rejected(self):
         model = HDCClassifier(PixelEncoder(shape=SHAPE, dimension=128, rng=0), 3)
@@ -107,12 +66,10 @@ class TestResolveModelBackend:
         assert isinstance(packed, PackedBipolarHDCClassifier)
         np.testing.assert_array_equal(packed.predict(images), model.predict(images))
 
-    def test_packed_bipolar_model_rebinds(self):
+    def test_packed_bipolar_model_passes_through(self):
         model, _ = self._bipolar_model()
         packed = resolve_model_backend(model, "packed-bipolar")
-        again = resolve_model_backend(packed, "packed-bipolar")
-        assert isinstance(again, PackedBipolarHDCClassifier)
-        assert again.backend.name == "numpy"
+        assert resolve_model_backend(packed, "packed-bipolar") is packed
 
     def test_packed_bipolar_rejects_binary_family(self):
         model, _ = _binary_model()
@@ -123,21 +80,3 @@ class TestResolveModelBackend:
         model = HDCClassifier(NgramEncoder(n=2, dimension=128, rng=0), 3)
         with pytest.raises(ConfigurationError, match="PixelEncoder"):
             resolve_model_backend(model, "packed-bipolar")
-
-
-class TestKernelBackendSurface:
-    def test_numpy_backend_roundtrip(self, rng):
-        backend = NumpyKernelBackend()
-        bits = rng.integers(0, 2, size=(3, 100)).astype(np.int8)
-        words = backend.pack(bits)
-        np.testing.assert_array_equal(backend.unpack(words, 100), bits)
-        np.testing.assert_array_equal(
-            backend.popcount(words), np.bitwise_count(words)
-            if hasattr(np, "bitwise_count")
-            else backend.popcount(words),
-        )
-        counts = backend.hamming_counts(words, words)
-        assert counts.shape == (3, 3)
-        assert (np.diag(counts) == 0).all()
-        sims = backend.cosine_matrix(words, words)
-        np.testing.assert_allclose(np.diag(sims), 1.0)

@@ -69,8 +69,11 @@ class TestParser:
         assert args.backend == "packed-bipolar"
         args = build_parser().parse_args(["defend", "--model", "m.npz"])
         assert args.backend == "dense"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fuzz", "--model", "m.npz", "--backend", "gpu"])
+        for rejected in ("gpu", "torch"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["fuzz", "--model", "m.npz", "--backend", rejected]
+                )
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(SystemExit):
@@ -238,6 +241,26 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "attack_rate_before" in out
         assert "attack-rate drop" in out
+
+    def test_defend_packed_bipolar_matches_dense(self, model_path, capsys):
+        def summary(backend):
+            code = main(
+                [
+                    "defend",
+                    "--model", str(model_path),
+                    "--n-adversarial", "12",
+                    "--seed", "0",
+                    "--backend", backend,
+                ]
+            )
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            # Drop the wall-clock "generated … in Xs" line.
+            return [line for line in lines if not line.startswith("generated ")]
+
+        dense = summary("dense")
+        assert any("attack_rate_before" in line for line in dense)
+        assert summary("packed-bipolar") == dense
 
     def test_report_writes_markdown(self, model_path, tmp_path, capsys):
         out_path = tmp_path / "report.md"
