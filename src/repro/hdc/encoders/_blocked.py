@@ -24,9 +24,20 @@ the per-child loops they replace (property-tested at the int16
 partial-sum boundaries in ``tests/hdc/test_fused_kernels.py``).
 Blocks are internally chunked so peak temporary memory stays bounded
 regardless of how many children are fused into one call.
+
+Large blocks run their chunks on short-lived threads (numpy releases
+the GIL in the gathers, ufuncs and reductions).  Every chunk covers
+whole children and writes only their rows of the output, so the result
+is bit-identical for any thread count.  The count is the process's CPU
+affinity (``taskset`` limits it) and 1 inside ``multiprocessing``
+workers, so worker processes do not oversubscribe the host.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 
@@ -145,21 +156,92 @@ def segment_reduce(
     return out
 
 
-#: Reused int8 gather buffers, keyed by hypervector dimension.  A fused
+#: Fewest chunks a kernel call must plan before its chunk loop is split
+#: across threads.  Below it the calling thread runs every chunk, as
+#: an unthreaded kernel would.  The sparse delta encodes of the
+#: sequential engine plan 1–9 chunks per call and stay there; the
+#: dense delta blocks of a batched ``gauss`` campaign plan 16–264.
+MIN_THREADED_CHUNKS = 16
+
+_THREAD_COUNT: tuple[int, int] = (-1, 1)  # (pid, thread count)
+
+
+def _thread_count() -> int:
+    """Threads a large kernel call may use, computed once per process.
+
+    The CPU affinity in the main process; 1 inside a ``multiprocessing``
+    child, whose siblings already occupy the other cores.  Keyed by
+    process ID so a forked child recomputes rather than inheriting.
+    """
+    global _THREAD_COUNT
+    pid = os.getpid()
+    if _THREAD_COUNT[0] != pid:
+        if multiprocessing.parent_process() is not None:
+            count = 1
+        elif hasattr(os, "sched_getaffinity"):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
+        _THREAD_COUNT = (pid, count)
+    return _THREAD_COUNT[1]
+
+
+def _run_chunks(work, chunks) -> None:
+    """Call ``work(slot, chunk)`` for every chunk, split across threads.
+
+    Below :data:`MIN_THREADED_CHUNKS` the calling thread runs every
+    chunk in order (slot 0).  Otherwise slot ``s`` of
+    ``min(_thread_count(), len(chunks))`` runs ``chunks[s::slots]``:
+    the calling thread runs slot 0 and the others run on threads that
+    are joined before this returns, so no thread outlives a kernel call
+    (a later ``fork`` stays safe).  The first exception any slot raises
+    is re-raised.
+    """
+    slots = 1
+    if len(chunks) >= MIN_THREADED_CHUNKS:
+        slots = min(_thread_count(), len(chunks))
+    if slots <= 1:
+        for chunk in chunks:
+            work(0, chunk)
+        return
+    errors = []
+
+    def run(slot: int) -> None:
+        try:
+            for chunk in chunks[slot::slots]:
+                work(slot, chunk)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in range(1, slots)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+#: Reused int8 gather buffers, keyed by ``(dimension, slot)``.  A fused
 #: call gathers into the same three buffers every chunk — and every
 #: *call* reuses the process-wide set, because a fresh multi-MB
 #: ``np.empty`` per call is mmap'd and page-faults on first touch,
-#: which profiling showed dominating sparse engine iterations.  The
-#: package is single-threaded per process (parallelism is fork-based),
-#: so one cache per process is safe.
-_GATHER_BUFFERS: dict[int, list[np.ndarray]] = {}
+#: which profiling showed dominating sparse engine iterations.  Each
+#: thread slot of a split call owns one set (slots, not thread
+#: identities, so short-lived threads add no entries), and kernel
+#: threads are joined before a call returns, so no two threads ever
+#: share a set and the cache holds one set per (dimension, slot).
+_GATHER_BUFFERS: dict[tuple[int, int], list[np.ndarray]] = {}
 
 
-def _chunk_buffers(n_rows: int, dimension: int) -> list[np.ndarray]:
-    bufs = _GATHER_BUFFERS.get(dimension)
+def _chunk_buffers(n_rows: int, dimension: int, slot: int) -> list[np.ndarray]:
+    bufs = _GATHER_BUFFERS.get((dimension, slot))
     if bufs is None or bufs[0].shape[0] < n_rows:
         bufs = [np.empty((n_rows, dimension), dtype=np.int8) for _ in range(3)]
-        _GATHER_BUFFERS[dimension] = bufs
+        _GATHER_BUFFERS[(dimension, slot)] = bufs
     return bufs
 
 
@@ -218,8 +300,10 @@ def fused_delta_into(
         chunks.append((order[a:b], int(counts[order[b - 1]])))
         a = b
     buf_rows = max(ids.size * kmax for ids, kmax in chunks)
-    pos_buf, new_buf, old_buf = _chunk_buffers(buf_rows, dimension)
-    for ids, kmax in chunks:
+
+    def encode_chunk(slot, plan):
+        ids, kmax = plan
+        pos_buf, new_buf, old_buf = _chunk_buffers(buf_rows, dimension, slot)
         m = ids.size
         k = counts[ids]
         # Flat COO positions of each child's changed entries, padded to
@@ -251,6 +335,8 @@ def fused_delta_into(
         # add itself upcasts to ``out``'s dtype, which is exact.
         chunk_dtype = np.int8 if 2 * kmax <= np.iinfo(np.int8).max else sum_dtype
         out[ids] += np.add.reduce(corr, axis=1, dtype=chunk_dtype)
+
+    _run_chunks(encode_chunk, chunks)
     return out
 
 
@@ -274,7 +360,8 @@ def grouped_products(
         return out
     sum_dtype = np.int16 if n_pixels <= np.iinfo(np.int16).max else np.int64
     chunk = max(1, BLOCK_ELEMS // (n_pixels * dimension))
-    for lo in range(0, n, chunk):
+
+    def encode_chunk(slot, lo):
         lv = levels_block[lo : lo + chunk]
         c = lv.shape[0]
         order = np.argsort(lv, axis=1, kind="stable")
@@ -287,6 +374,8 @@ def grouped_products(
         prod = seg * val_vectors[sorted_lv[starts]]
         child_starts = np.flatnonzero(_segment_breaks(child_ids[starts]))
         out[lo : lo + c] = segment_reduce(prod, child_starts, np.int64)
+
+    _run_chunks(encode_chunk, range(0, n, chunk))
     return out
 
 
