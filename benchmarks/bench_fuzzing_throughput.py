@@ -53,7 +53,9 @@ or standalone for a quick smoke reading (used by CI)::
 
 from __future__ import annotations
 
+import statistics
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +86,17 @@ MIN_ENCODE_THROUGHPUT_SPEEDUP = 1.25
 ENCODE_REBASELINE_REPEATS = 2
 
 #: Telemetry acceptance bar: instrumented batched campaign may cost at
-#: most this fraction over the uninstrumented one (min-of-N, interleaved
-#: so thermal/cache drift hits both arms equally).
+#: most this fraction over the uninstrumented one (mean of paired on/off
+#: ratios, each pair run back to back so host drift hits both arms).
 MAX_TELEMETRY_OVERHEAD = 0.05
-TELEMETRY_TIMING_REPEATS = 3
+#: Paired off/on runs the overhead probe takes: at least the minimum,
+#: then more until the 95% confidence interval of the mean paired ratio
+#: is narrower than the bar, or the cap is reached.
+TELEMETRY_MIN_PAIRS = 3
+TELEMETRY_MAX_PAIRS = 12
+#: Two-sided 95% Student-t quantiles by degrees of freedom (1, 2, ...).
+_T95 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+        2.228, 2.201, 2.179, 2.160, 2.145)
 
 
 class _PreFusionSerialExecutor(SerialExecutor):
@@ -188,22 +197,58 @@ def run_throughput_comparison(model, images, *, iter_times=ITER_TIMES,
     return rows
 
 
+@dataclass
+class TelemetryOverhead:
+    """Paired off/on timings of the telemetry probe and their summary."""
+
+    ratios: list[float]  # on-seconds / off-seconds, one per pair
+    off: float  # min off-seconds over the pairs
+    on: float  # min on-seconds over the pairs
+    counters: dict
+
+    @property
+    def overhead(self) -> float:
+        """Mean paired ratio minus one: the estimated relative cost."""
+        return statistics.fmean(self.ratios) - 1.0
+
+    @property
+    def half_width(self) -> float:
+        """Half-width of the 95% confidence interval of :attr:`overhead`."""
+        n = len(self.ratios)
+        if n < 2:
+            return float("inf")
+        t = _T95[min(n - 1, len(_T95)) - 1]
+        return t * statistics.stdev(self.ratios) / n**0.5
+
+    @property
+    def within_noise(self) -> bool:
+        """No measurable cost: negative, or its interval reaches zero."""
+        return self.overhead - self.half_width <= 0.0
+
+    def describe(self) -> str:
+        spread = f"±{100 * self.half_width:.1f}% over {len(self.ratios)} pairs"
+        if self.within_noise:
+            return f"within noise ({spread})"
+        return f"{100 * self.overhead:+.1f}% ({spread})"
+
+
 def run_telemetry_overhead(model, images, *, iter_times=ITER_TIMES,
-                           batch_size=64, repeats=TELEMETRY_TIMING_REPEATS):
+                           batch_size=64):
     """Relative cost of telemetry on the batched paper-scale campaign.
 
-    Times the four-strategy batched campaign with telemetry off and on,
-    interleaved, and compares the min-of-*repeats* wall clocks (min is
-    the standard noise-robust estimator for same-work timing).  Returns
-    ``(overhead_fraction, off_seconds, on_seconds, counters)``.
+    Times the four-strategy batched campaign with telemetry off, then
+    on, as one pair, and repeats pairs until the 95% confidence
+    interval of the mean on/off ratio is narrower than
+    ``MAX_TELEMETRY_OVERHEAD`` (after ``TELEMETRY_MIN_PAIRS``), or
+    ``TELEMETRY_MAX_PAIRS`` is reached.  Pairing cancels the host's slow drift, which a min over
+    unpaired runs does not.  Returns a :class:`TelemetryOverhead`.
     """
     from repro.obs import CampaignTelemetry
 
     config = HDTestConfig(iter_times=iter_times)
-    off_times, on_times = [], []
-    counters = {}
     executor = BatchedExecutor(batch_size=batch_size)
-    for _ in range(repeats):
+    off_times, on_times = [], []
+    while True:
         start = time.perf_counter()
         compare_strategies(
             model, images, STRATEGIES, config=config, rng=SEED,
@@ -217,9 +262,16 @@ def run_telemetry_overhead(model, images, *, iter_times=ITER_TIMES,
             executor=executor, telemetry=obs,
         )
         on_times.append(time.perf_counter() - start)
-        counters = dict(obs.counters)
-    off, on = min(off_times), min(on_times)
-    return (on - off) / off, off, on, counters
+        result = TelemetryOverhead(
+            [on / off for off, on in zip(off_times, on_times)],
+            min(off_times), min(on_times), dict(obs.counters),
+        )
+        pairs = len(result.ratios)
+        if pairs >= TELEMETRY_MAX_PAIRS or (
+            pairs >= TELEMETRY_MIN_PAIRS
+            and 2 * result.half_width < MAX_TELEMETRY_OVERHEAD
+        ):
+            return result
 
 
 def run_encode_rebaseline(model, images, *, iter_times=ITER_TIMES,
@@ -330,23 +382,26 @@ def test_telemetry_overhead_within_budget(paper_model, fuzz_images):
     from conftest import write_bench_record
 
     images = fuzz_images[:N_IMAGES]
-    overhead, off, on, counters = run_telemetry_overhead(paper_model, images)
-    print(f"\n[fuzzing-throughput] telemetry overhead: off {off:.2f}s, "
-          f"on {on:.2f}s -> {100 * overhead:+.1f}% "
+    probe = run_telemetry_overhead(paper_model, images)
+    print(f"\n[fuzzing-throughput] telemetry overhead: off {probe.off:.2f}s, "
+          f"on {probe.on:.2f}s -> {probe.describe()} "
           f"(bar: {100 * MAX_TELEMETRY_OVERHEAD:.0f}%)")
+    counters = probe.counters
     write_bench_record(
         "bench_fuzzing_throughput",
         metrics={
-            "telemetry_overhead_frac": overhead,
+            "telemetry_overhead_frac": probe.overhead,
+            "telemetry_overhead_ci95_half_width": probe.half_width,
             "telemetry_encodes": counters.get("encodes", 0),
             "telemetry_encode_requests": counters.get("encode_requests", 0),
             "telemetry_retired": counters.get("retired", 0),
         },
-        config={"telemetry_repeats": TELEMETRY_TIMING_REPEATS},
+        config={"telemetry_pairs": len(probe.ratios),
+                "telemetry_max_pairs": TELEMETRY_MAX_PAIRS},
     )
-    assert overhead <= MAX_TELEMETRY_OVERHEAD, (
-        f"telemetry costs {100 * overhead:.1f}% on the batched campaign, "
-        f"over the {100 * MAX_TELEMETRY_OVERHEAD:.0f}% budget"
+    assert probe.overhead <= MAX_TELEMETRY_OVERHEAD, (
+        f"telemetry costs {100 * probe.overhead:.1f}% on the batched "
+        f"campaign, over the {100 * MAX_TELEMETRY_OVERHEAD:.0f}% budget"
     )
 
 
@@ -399,12 +454,9 @@ def _smoke_main(argv=None):  # pragma: no cover - exercised by CI, not pytest
           f"batched {by_name['batched'] / baseline:.2f}x, "
           f"delta-serial {by_name['serial'] / baseline:.2f}x "
           f"(bar: {MIN_BATCHED_SPEEDUP}x at paper scale)")
-    overhead, off, on, _ = run_telemetry_overhead(
-        model, images, iter_times=iter_times,
-        repeats=1 if args.quick else TELEMETRY_TIMING_REPEATS,
-    )
-    print(f"[fuzzing-throughput] telemetry overhead: off {off:.2f}s, "
-          f"on {on:.2f}s -> {100 * overhead:+.1f}% "
+    probe = run_telemetry_overhead(model, images, iter_times=iter_times)
+    print(f"[fuzzing-throughput] telemetry overhead: off {probe.off:.2f}s, "
+          f"on {probe.on:.2f}s -> {probe.describe()} "
           f"(assertion bar at paper scale: "
           f"{100 * MAX_TELEMETRY_OVERHEAD:.0f}%)")
     stats = run_encode_rebaseline(
