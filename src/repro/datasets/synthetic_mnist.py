@@ -1,10 +1,11 @@
 """Synthetic handwritten-digit generator (the repo's MNIST substitute).
 
-The paper trains and fuzzes on MNIST, which cannot be downloaded in this
-offline environment (see DESIGN.md §2).  This module generates an
-MNIST-shaped drop-in: 28×28 grey-scale ``uint8`` images of digits 0–9,
-rendered from per-class stroke skeletons with randomised handwriting
-variation:
+The paper trains and fuzzes on MNIST.  The package ships no MNIST files
+and never downloads them, so :func:`~repro.datasets.loaders.load_digits`
+falls back to this module unless it is pointed at a directory of IDX
+files (README, "Install").  This module generates an MNIST-shaped
+drop-in: 28×28 grey-scale ``uint8`` images of digits 0–9, rendered from
+per-class stroke skeletons with randomised handwriting variation:
 
 * control-point jitter (wobbly strokes),
 * a random affine transform (rotation, anisotropic scale, shear,
@@ -12,15 +13,22 @@ variation:
 * random stroke thickness and ink intensity,
 * additive Gaussian pixel noise and sparse speckle.
 
-The generator is fully deterministic given a seed, fast (tens of
-microseconds per image), and calibrated so the paper's HDC model lands
-in its reported ≈90 % accuracy regime with realistic confusions
-(3/8/9 family vs the visually isolated 1).
+The generator is fully deterministic given a seed, and calibrated so
+the paper's HDC model lands in its reported ≈90 % accuracy regime with
+realistic confusions (3/8/9 family vs the visually isolated 1).
+
+Cost: about 0.21–0.25 ms per default-style image (min and median of
+five ``SyntheticDigitGenerator().dataset(1500, rng=2021)`` calls, one
+thread on a 2-vCPU Intel Xeon host, numpy 2.4).  The rasteriser used to
+measure the distance from all 784 pixels to every stroke segment, at
+1.1–1.5 ms per image on the same host and method; it now measures only
+the pixels that the ink can reach, with bit-identical output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,6 +179,16 @@ class DigitStyle:
                 raise ConfigurationError(f"{name} must satisfy low <= high, got {(lo, hi)}")
         if self.thickness_range[0] <= 0:
             raise ConfigurationError("thickness_range values must be positive")
+        for name in ("intensity_range", "noise_sigma_range"):
+            if getattr(self, name)[0] < 0:
+                raise ConfigurationError(
+                    f"{name} values must be non-negative, got {getattr(self, name)}"
+                )
+        for name in ("vertex_jitter", "rotation_deg", "shear", "translation"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {getattr(self, name)}"
+                )
         if self.falloff <= 0:
             raise ConfigurationError("falloff must be positive")
         if not 0.0 <= self.speckle_prob <= 1.0:
@@ -181,6 +199,14 @@ class DigitStyle:
 # --------------------------------------------------------------------------
 # Generator
 # --------------------------------------------------------------------------
+
+
+def _reachable(lo: float, hi: float, reach: float, n: int) -> tuple[int, int]:
+    """Pixel index range ``[start, stop)`` whose centres lie within *reach*
+    (plus one pixel of slack) of the unit-box interval ``[lo, hi]``."""
+    start = math.floor((lo - reach) * n) - 1
+    stop = math.ceil((hi + reach) * n) + 1
+    return max(start, 0), min(stop, n)
 
 
 class SyntheticDigitGenerator:
@@ -204,10 +230,9 @@ class SyntheticDigitGenerator:
         self._style = (style if style is not None else DigitStyle()).validate()
         h, w = self._style.image_shape
         # Pixel-centre coordinates in unit-box space, precomputed once.
-        ys, xs = np.mgrid[0:h, 0:w]
-        self._pixel_xy = np.stack(
-            [(xs.ravel() + 0.5) / w, (ys.ravel() + 0.5) / h], axis=1
-        )
+        self._pixel_x = (np.arange(w) + 0.5) / w
+        self._pixel_y = (np.arange(h) + 0.5) / h
+        self._skeletons = [glyph_strokes(digit) for digit in range(10)]
 
     @property
     def style(self) -> DigitStyle:
@@ -261,10 +286,12 @@ class SyntheticDigitGenerator:
     # -- internals -----------------------------------------------------
     def _randomised_segments(
         self, digit: int, generator: np.random.Generator
-    ) -> np.ndarray:
-        """Jitter + affine-transform the skeleton; return (S, 2, 2) segments."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Jitter + affine-transform the skeleton; return segment ends ``(ax, ay, bx, by)``."""
+        if not 0 <= digit <= 9:
+            raise ConfigurationError(f"digit must be 0..9, got {digit}")
         style = self._style
-        strokes = glyph_strokes(digit)
+        strokes = self._skeletons[digit]
 
         theta = np.radians(generator.uniform(-style.rotation_deg, style.rotation_deg))
         sx, sy = generator.uniform(*style.scale_range, size=2)
@@ -272,7 +299,10 @@ class SyntheticDigitGenerator:
         tx, ty = generator.uniform(-style.translation, style.translation, size=2)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
 
-        segments: list[np.ndarray] = []
+        ax: list[np.ndarray] = []
+        ay: list[np.ndarray] = []
+        bx: list[np.ndarray] = []
+        by: list[np.ndarray] = []
         for stroke in strokes:
             pts = stroke + generator.normal(0.0, style.vertex_jitter, size=stroke.shape)
             centred = pts - 0.5
@@ -280,32 +310,61 @@ class SyntheticDigitGenerator:
             y = centred[:, 1] * sy
             xr = x * cos_t - y * sin_t + 0.5 + tx
             yr = x * sin_t + y * cos_t + 0.5 + ty
-            pts = np.stack([xr, yr], axis=1)
-            segments.append(np.stack([pts[:-1], pts[1:]], axis=1))
-        return np.concatenate(segments, axis=0)
+            ax.append(xr[:-1])
+            ay.append(yr[:-1])
+            bx.append(xr[1:])
+            by.append(yr[1:])
+        return (np.concatenate(ax), np.concatenate(ay),
+                np.concatenate(bx), np.concatenate(by))
 
     def _rasterize(
-        self, segments: np.ndarray, generator: np.random.Generator
+        self,
+        segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        generator: np.random.Generator,
     ) -> np.ndarray:
-        """Distance-field rasterisation with anti-aliased stroke edges."""
-        style = self._style
-        p = self._pixel_xy  # (P, 2)
-        a = segments[:, 0]  # (S, 2)
-        b = segments[:, 1]  # (S, 2)
-        ab = b - a
-        denom = np.einsum("sd,sd->s", ab, ab)
-        denom[denom == 0.0] = 1e-12
-        # Project every pixel onto every segment, clamped to [0, 1].
-        ap = p[:, None, :] - a[None, :, :]  # (P, S, 2)
-        t = np.clip(np.einsum("psd,sd->ps", ap, ab) / denom, 0.0, 1.0)
-        closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        dist = np.linalg.norm(p[:, None, :] - closest, axis=2).min(axis=1)  # (P,)
+        """Distance-field rasterisation with anti-aliased stroke edges.
 
-        thickness = generator.uniform(*style.thickness_range)
-        # 1.0 inside the stroke core, linear falloff over `falloff` beyond it.
-        ink = np.clip((thickness + style.falloff - dist) / style.falloff, 0.0, 1.0)
+        Only pixels that the ink can reach get a distance: a pixel centre
+        more than ``thickness + falloff`` outside the segments' bounding
+        box has zero ink, so the field is cropped to that box grown by
+        the reach plus one pixel of slack.
+        """
+        style = self._style
         h, w = style.image_shape
-        return ink.reshape(h, w)
+        ax, ay, bx, by = segments
+        thickness = generator.uniform(*style.thickness_range)
+        reach = thickness + style.falloff
+        ink = np.zeros((h, w))
+        c0, c1 = _reachable(min(ax.min(), bx.min()), max(ax.max(), bx.max()), reach, w)
+        r0, r1 = _reachable(min(ay.min(), by.min()), max(ay.max(), by.max()), reach, h)
+        if c0 >= c1 or r0 >= r1:
+            return ink
+        px = self._pixel_x[c0:c1]  # (X,)
+        py = self._pixel_y[r0:r1, None]  # (Y, 1)
+        ax, ay, bx, by = (v[:, None, None] for v in segments)  # (S, 1, 1)
+        abx = bx - ax
+        aby = by - ay
+        denom = abx * abx + aby * aby
+        denom[denom == 0.0] = 1e-12
+        # Project every cropped pixel onto every segment, clamped to [0, 1];
+        # the dot product's x and y terms are each computed on their axis.
+        t = (py - ay) * aby + (px - ax) * abx  # (S, Y, X)
+        t /= denom
+        np.clip(t, 0.0, 1.0, out=t)
+        dx = t * abx
+        dx += ax
+        np.subtract(px, dx, out=dx)
+        dx *= dx
+        dy = np.multiply(t, aby, out=t)
+        dy += ay
+        np.subtract(py, dy, out=dy)
+        dy *= dy
+        dx += dy
+        # sqrt is monotone: the root of the least square is the least root.
+        dist = np.sqrt(dx.min(axis=0))
+        # 1.0 inside the stroke core, linear falloff over `falloff` beyond it.
+        ink[r0:r1, c0:c1] = np.clip((reach - dist) / style.falloff, 0.0, 1.0)
+        return ink
 
     def _postprocess(
         self, ink: np.ndarray, generator: np.random.Generator

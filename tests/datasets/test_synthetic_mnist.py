@@ -131,6 +131,41 @@ class TestStyleValidation:
         with pytest.raises(ConfigurationError):
             DigitStyle(speckle_prob=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "field", ["vertex_jitter", "rotation_deg", "shear", "translation"]
+    )
+    def test_negative_spread_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            DigitStyle(**{field: -0.01}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("intensity_range", (-0.5, 1.0)),
+            ("intensity_range", (-1.0, -0.5)),
+            ("noise_sigma_range", (-5.0, 0.0)),
+            ("noise_sigma_range", (-5.0, -1.0)),
+        ],
+    )
+    def test_negative_range_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DigitStyle(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vertex_jitter", -0.01), ("translation", -0.05), ("intensity_range", (-1.0, -0.5))],
+    )
+    def test_generator_rejects_bad_style(self, field, value):
+        with pytest.raises(ConfigurationError):
+            SyntheticDigitGenerator(DigitStyle(**{field: value}))
+
+    def test_zero_spreads_and_ranges_valid(self):
+        style = DigitStyle(
+            vertex_jitter=0.0, rotation_deg=0.0, shear=0.0, translation=0.0,
+            intensity_range=(0.0, 0.0), noise_sigma_range=(0.0, 0.0),
+        ).validate()
+        assert SyntheticDigitGenerator(style).render(3, rng=0).shape == (28, 28)
+
     def test_bad_image_shape(self):
         with pytest.raises(ConfigurationError):
             SyntheticDigitGenerator(DigitStyle(image_shape=(0, 28)))
