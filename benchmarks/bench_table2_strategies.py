@@ -1,8 +1,9 @@
 """Table II: L1/L2 distance, iterations, and runtime per mutation strategy.
 
 Reproduces the paper's central comparison.  Absolute numbers depend on
-hardware and on the substituted dataset (DESIGN.md §2), so the asserts
-target the table's *shape* — the claims Sec. V-B actually makes:
+hardware and on the substituted dataset (synthetic digits stand in for
+MNIST, see README "Install"), so the asserts target the table's *shape*
+— the claims Sec. V-B actually makes:
 
 * ``rand`` generates the least visible adversarials (smallest L1/L2)
   but needs roughly an order of magnitude more iterations than

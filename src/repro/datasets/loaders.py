@@ -4,7 +4,8 @@
 it returns MNIST-shaped train/test splits, sourcing real MNIST IDX files
 when a directory containing them is supplied (or found via the
 ``HDTEST_MNIST_DIR`` environment variable) and falling back to the
-synthetic generator otherwise (DESIGN.md §2).
+synthetic generator otherwise: the package ships no MNIST files and
+never downloads them (README, "Install").
 """
 
 from __future__ import annotations

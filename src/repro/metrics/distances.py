@@ -4,7 +4,7 @@ The paper evaluates adversarial images by *normalized* L1 and L2
 distance between the mutated and original image.  Normalisation here
 means grey values are scaled to [0, 1] (divide by 255) before taking
 the vector norm over all pixels — the convention that makes the paper's
-numbers self-consistent (DESIGN.md §5): the example perturbation budget
+numbers self-consistent: the example perturbation budget
 "L2 < 1", rand's L2 ≈ 0.09, and gauss's L1 ≈ 2.91 all fit this scale.
 
 L0 (pixels touched) and L∞ (largest single-pixel change) are included
