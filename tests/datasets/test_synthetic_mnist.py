@@ -153,6 +153,22 @@ class TestStyleValidation:
 
     @pytest.mark.parametrize(
         "field, value",
+        [
+            ("falloff", float("inf")),
+            ("vertex_jitter", float("inf")),
+            ("shear", float("nan")),
+            ("translation", float("inf")),
+            ("thickness_range", (0.03, float("inf"))),
+            ("scale_range", (float("-inf"), 1.0)),
+            ("black_point", float("nan")),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DigitStyle(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
         [("vertex_jitter", -0.01), ("translation", -0.05), ("intensity_range", (-1.0, -0.5))],
     )
     def test_generator_rejects_bad_style(self, field, value):
